@@ -78,6 +78,13 @@ bool want_avx2() {
          cpu_supports(Backend::kAvx2);
 }
 
+// The AVX2 backend is only "compiled" when every family it covers is.
+bool avx2_compiled() {
+  return detail::kyber_avx2() != nullptr &&
+         detail::dilithium_avx2() != nullptr &&
+         detail::keccak_avx2() != nullptr;
+}
+
 bool want_aesni() {
   Backend sel = current();
   return (sel == Backend::kAesni || sel == Backend::kAuto) &&
@@ -103,7 +110,7 @@ std::string_view name(Backend b) {
 bool compiled(Backend b) {
   switch (b) {
     case Backend::kAvx2:
-      return detail::kyber_avx2() != nullptr;
+      return avx2_compiled();
     case Backend::kAesni:
       return detail::haraka_aesni() != nullptr;
     case Backend::kPortable:
@@ -148,7 +155,7 @@ bool select(std::string_view backend_name) {
 }
 
 std::string_view active_name() {
-  const bool avx2 = want_avx2() && detail::kyber_avx2() != nullptr;
+  const bool avx2 = want_avx2() && avx2_compiled();
   const bool aesni = want_aesni() && detail::haraka_aesni() != nullptr;
   if (avx2 && aesni) {
     return "avx2+aesni";
@@ -187,6 +194,15 @@ const HarakaKernels& haraka_kernels() {
     }
   }
   return detail::kHarakaPortable;
+}
+
+const KeccakKernels& keccak_kernels() {
+  if (want_avx2()) {
+    if (const KeccakKernels* k = detail::keccak_avx2()) {
+      return *k;
+    }
+  }
+  return detail::kKeccakPortable;
 }
 
 }  // namespace pqtls::crypto::backend

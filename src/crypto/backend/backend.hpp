@@ -1,8 +1,9 @@
 // Runtime-selected crypto backend dispatch (DESIGN.md §2.1a). All number-
 // theoretic and permutation kernels behind the AlgorithmCatalog route
 // through the small function tables below, so one process-wide selection
-// switches Kyber/Dilithium NTT arithmetic to AVX2 and the SPHINCS+ Haraka
-// permutation to AES-NI without touching any caller. Every backend is
+// switches Kyber/Dilithium NTT arithmetic and the 4-way Keccak permutation
+// to AVX2 and the SPHINCS+ Haraka permutation to AES-NI without touching
+// any caller. Every backend is
 // bit-identical to the portable kernels by construction (canonical [0, q)
 // residues in, canonical residues out; the KAT-equivalence tests lock this),
 // so wire bytes, shared secrets, and every golden row are independent of
@@ -21,7 +22,7 @@ namespace pqtls::crypto::backend {
 
 enum class Backend {
   kPortable = 0,  // pure scalar reference kernels (always available)
-  kAvx2 = 1,      // AVX2 Montgomery NTT/invNTT/pointwise for Kyber+Dilithium
+  kAvx2 = 1,      // AVX2 NTT/invNTT/pointwise for Kyber+Dilithium, 4-way Keccak
   kAesni = 2,     // AES-NI Haraka permutation for SPHINCS+
   kAuto = 3,      // best available kernels per family (the default)
 };
@@ -30,7 +31,8 @@ enum class Backend {
 std::string_view name(Backend b);
 
 /// True when the kernels for `b` were compiled into this binary
-/// (x86 toolchain with -mavx2 / -maes). kPortable/kAuto: always true.
+/// (x86 toolchain with -mavx2 / -maes). kAvx2 needs every AVX2 table
+/// (Kyber, Dilithium and Keccak). kPortable/kAuto: always true.
 bool compiled(Backend b);
 /// True when the running CPU supports the ISA `b` needs.
 bool cpu_supports(Backend b);
@@ -76,10 +78,17 @@ struct HarakaKernels {
                      const std::uint8_t* rc);
 };
 
+struct KeccakKernels {
+  // Four independent Keccak-f[1600] states, lane-interleaved: word i of
+  // state j is at state[4 * i + j] (100 words).
+  void (*permute_x4)(std::uint64_t* state);
+};
+
 /// The kernel tables resolved for the current selection. Cheap enough to
 /// call per operation (one relaxed atomic load + a branch).
 const KyberKernels& kyber_kernels();
 const DilithiumKernels& dilithium_kernels();
 const HarakaKernels& haraka_kernels();
+const KeccakKernels& keccak_kernels();
 
 }  // namespace pqtls::crypto::backend

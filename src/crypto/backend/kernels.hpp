@@ -11,6 +11,7 @@ namespace pqtls::crypto::backend::detail {
 extern const KyberKernels kKyberPortable;
 extern const DilithiumKernels kDilithiumPortable;
 extern const HarakaKernels kHarakaPortable;
+extern const KeccakKernels kKeccakPortable;
 
 // Optimized kernels. Each returns nullptr when the binary was built
 // without the matching ISA support (non-x86 target, or the toolchain
@@ -18,5 +19,6 @@ extern const HarakaKernels kHarakaPortable;
 const KyberKernels* kyber_avx2();
 const DilithiumKernels* dilithium_avx2();
 const HarakaKernels* haraka_aesni();
+const KeccakKernels* keccak_avx2();
 
 }  // namespace pqtls::crypto::backend::detail

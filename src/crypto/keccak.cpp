@@ -1,52 +1,21 @@
 #include "crypto/keccak.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <cstring>
+#include <stdexcept>
+
+#include "crypto/backend/backend.hpp"
+#include "crypto/backend/keccak_f1600.hpp"
 
 namespace pqtls::crypto {
 
-namespace {
+// Squeezing copies lane bytes straight out of the state words.
+static_assert(std::endian::native == std::endian::little,
+              "Keccak lanes are read as little-endian host words");
 
-constexpr std::uint64_t kRoundConstants[24] = {
-    0x0000000000000001ULL, 0x0000000000008082ULL, 0x800000000000808aULL,
-    0x8000000080008000ULL, 0x000000000000808bULL, 0x0000000080000001ULL,
-    0x8000000080008081ULL, 0x8000000000008009ULL, 0x000000000000008aULL,
-    0x0000000000000088ULL, 0x0000000080008009ULL, 0x000000008000000aULL,
-    0x000000008000808bULL, 0x800000000000008bULL, 0x8000000000008089ULL,
-    0x8000000000008003ULL, 0x8000000000008002ULL, 0x8000000000000080ULL,
-    0x000000000000800aULL, 0x800000008000000aULL, 0x8000000080008081ULL,
-    0x8000000000008080ULL, 0x0000000080000001ULL, 0x8000000080008008ULL};
-
-constexpr int kRotations[25] = {0,  1,  62, 28, 27, 36, 44, 6,  55, 20, 3,  10, 43,
-                                25, 39, 41, 45, 15, 21, 8,  18, 2,  61, 56, 14};
-
-// Destination index of lane (x, y) under pi: (y, 2x+3y), with lanes laid out
-// as state[x + 5y].
-constexpr int kPi[25] = {0,  10, 20, 5,  15, 16, 1, 11, 21, 6,  7, 17, 2,
-                         12, 22, 23, 8,  18, 3,  13, 14, 24, 9,  19, 4};
-
-}  // namespace
-
-void KeccakSponge::permute() {
-  auto& a = state_;
-  for (int round = 0; round < 24; ++round) {
-    // Theta
-    std::uint64_t c[5], d[5];
-    for (int x = 0; x < 5; ++x)
-      c[x] = a[x] ^ a[x + 5] ^ a[x + 10] ^ a[x + 15] ^ a[x + 20];
-    for (int x = 0; x < 5; ++x)
-      d[x] = c[(x + 4) % 5] ^ std::rotl(c[(x + 1) % 5], 1);
-    for (int i = 0; i < 25; ++i) a[i] ^= d[i % 5];
-    // Rho + Pi
-    std::uint64_t b[25];
-    for (int i = 0; i < 25; ++i) b[kPi[i]] = std::rotl(a[i], kRotations[i]);
-    // Chi
-    for (int y = 0; y < 5; ++y)
-      for (int x = 0; x < 5; ++x)
-        a[y * 5 + x] =
-            b[y * 5 + x] ^ (~b[y * 5 + (x + 1) % 5] & b[y * 5 + (x + 2) % 5]);
-    // Iota
-    a[0] ^= kRoundConstants[round];
-  }
+void keccak_f1600(std::uint64_t* state) {
+  backend::detail::keccak_f1600(state);
 }
 
 void KeccakSponge::reset() {
@@ -56,21 +25,37 @@ void KeccakSponge::reset() {
 }
 
 void KeccakSponge::absorb(BytesView data) {
-  auto* bytes = reinterpret_cast<std::uint8_t*>(state_.data());
-  for (std::uint8_t byte : data) {
-    bytes[offset_++] ^= byte;
+  const std::uint8_t* in = data.data();
+  std::size_t len = data.size();
+  while (len > 0) {
+    if (offset_ == 0 && len >= rate_) {  // a whole block, lane by lane
+      for (std::size_t i = 0; i < rate_ / 8; ++i)
+        state_[i] ^= load_le64(in + 8 * i);
+      offset_ = rate_;
+      in += rate_;
+      len -= rate_;
+    } else if (offset_ % 8 == 0 && len >= 8) {  // rate_ is a lane multiple
+      state_[offset_ / 8] ^= load_le64(in);
+      offset_ += 8;
+      in += 8;
+      len -= 8;
+    } else {
+      state_[offset_ / 8] ^= std::uint64_t{*in} << (8 * (offset_ % 8));
+      ++offset_;
+      ++in;
+      --len;
+    }
     if (offset_ == rate_) {
-      permute();
+      keccak_f1600(state_.data());
       offset_ = 0;
     }
   }
 }
 
 void KeccakSponge::pad() {
-  auto* bytes = reinterpret_cast<std::uint8_t*>(state_.data());
-  bytes[offset_] ^= domain_;
-  bytes[rate_ - 1] ^= 0x80;
-  permute();
+  state_[offset_ / 8] ^= std::uint64_t{domain_} << (8 * (offset_ % 8));
+  state_[(rate_ - 1) / 8] ^= std::uint64_t{0x80} << (8 * ((rate_ - 1) % 8));
+  keccak_f1600(state_.data());
   offset_ = 0;
   squeezing_ = true;
 }
@@ -80,7 +65,7 @@ void KeccakSponge::squeeze(std::uint8_t* out, std::size_t len) {
   const auto* bytes = reinterpret_cast<const std::uint8_t*>(state_.data());
   while (len > 0) {
     if (offset_ == rate_) {
-      permute();
+      keccak_f1600(state_.data());
       offset_ = 0;
     }
     std::size_t take = std::min(len, rate_ - offset_);
@@ -113,6 +98,62 @@ Bytes shake256(BytesView data, std::size_t out_len) {
   Shake xof(256);
   xof.absorb(data);
   return xof.squeeze(out_len);
+}
+
+void ShakeX4::absorb(const std::array<BytesView, kLanes>& inputs) {
+  const std::size_t len = inputs[0].size();
+  for (const BytesView& in : inputs)
+    if (in.size() != len)
+      throw std::invalid_argument("ShakeX4: inputs must have equal length");
+  const auto& kernels = backend::keccak_kernels();
+  std::size_t pos = 0;
+  for (; len - pos >= rate_; pos += rate_) {
+    for (std::size_t i = 0; i < rate_ / 8; ++i)
+      for (std::size_t j = 0; j < kLanes; ++j)
+        state_[kLanes * i + j] ^= load_le64(inputs[j].data() + pos + 8 * i);
+    kernels.permute_x4(state_);
+  }
+  // Final partial block, then the SHAKE padding 0x1f .. 0x80.
+  const std::size_t end = len - pos;
+  for (std::size_t b = 0; b < end; ++b)
+    for (std::size_t j = 0; j < kLanes; ++j)
+      state_[kLanes * (b / 8) + j] ^= std::uint64_t{inputs[j][pos + b]}
+                                      << (8 * (b % 8));
+  for (std::size_t j = 0; j < kLanes; ++j) {
+    state_[kLanes * (end / 8) + j] ^= std::uint64_t{0x1f} << (8 * (end % 8));
+    state_[kLanes * ((rate_ - 1) / 8) + j] ^= std::uint64_t{0x80} << 56;
+  }
+  offset_ = rate_;  // the first squeeze permutes
+}
+
+void ShakeX4::squeeze(const std::array<std::uint8_t*, kLanes>& out,
+                      std::size_t len) {
+  std::array<std::uint8_t*, kLanes> dst = out;
+  while (len > 0) {
+    if (offset_ == rate_) {
+      backend::keccak_kernels().permute_x4(state_);
+      offset_ = 0;
+    }
+    const std::size_t take = std::min(len, rate_ - offset_);
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      if (dst[j] == nullptr) continue;
+      // Lane j's byte b lives in word b / 8 of state j.
+      for (std::size_t b = offset_; b < offset_ + take;) {
+        const std::size_t in_word = b % 8;
+        const std::size_t n = std::min<std::size_t>(8 - in_word,
+                                                    offset_ + take - b);
+        std::memcpy(dst[j],
+                    reinterpret_cast<const std::uint8_t*>(
+                        &state_[kLanes * (b / 8) + j]) +
+                        in_word,
+                    n);
+        dst[j] += n;
+        b += n;
+      }
+    }
+    offset_ += take;
+    len -= take;
+  }
 }
 
 }  // namespace pqtls::crypto

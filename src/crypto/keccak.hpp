@@ -1,4 +1,6 @@
-// Keccak-f[1600] sponge: SHA3-256/512 and the SHAKE-128/256 XOFs (FIPS 202).
+// Keccak-f[1600] sponge: SHA3-256/512 and the SHAKE-128/256 XOFs (FIPS 202),
+// plus ShakeX4, four independent SHAKE streams advanced by one 4-way
+// permutation.
 #pragma once
 
 #include <array>
@@ -7,6 +9,10 @@
 #include "crypto/bytes.hpp"
 
 namespace pqtls::crypto {
+
+/// The scalar Keccak-f[1600] permutation, in place on 25 lanes laid out as
+/// state[x + 5y]. Every sponge below uses it.
+void keccak_f1600(std::uint64_t* state);
 
 /// Sponge over Keccak-f[1600]. Parameterized by rate and domain separator.
 class KeccakSponge {
@@ -25,7 +31,6 @@ class KeccakSponge {
   void reset();
 
  private:
-  void permute();
   void pad();
 
   std::array<std::uint64_t, 25> state_{};
@@ -55,5 +60,30 @@ class Shake {
 
 Bytes shake128(BytesView data, std::size_t out_len);
 Bytes shake256(BytesView data, std::size_t out_len);
+
+/// Four independent SHAKE instances in lockstep: every block costs one
+/// 4-way Keccak-f[1600] call through the backend's KeccakKernels (AVX2
+/// when selected and available). Lane i outputs exactly SHAKE(inputs[i]),
+/// byte for byte, whichever kernel runs.
+class ShakeX4 {
+ public:
+  static constexpr std::size_t kLanes = 4;
+
+  /// bits must be 128 or 256.
+  explicit ShakeX4(int bits) : rate_(bits == 128 ? 168 : 136) {}
+
+  /// Absorbs one whole message per lane and pads; call once, before any
+  /// squeeze. The messages must have equal length (throws
+  /// std::invalid_argument otherwise).
+  void absorb(const std::array<BytesView, kLanes>& inputs);
+  /// Next `len` output bytes of every lane; out[i] may be null to discard
+  /// lane i.
+  void squeeze(const std::array<std::uint8_t*, kLanes>& out, std::size_t len);
+
+ private:
+  alignas(32) std::uint64_t state_[25 * kLanes] = {};
+  std::size_t rate_;
+  std::size_t offset_ = 0;  // squeeze position within the rate
+};
 
 }  // namespace pqtls::crypto

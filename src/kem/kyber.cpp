@@ -1,11 +1,13 @@
 #include "kem/kyber.hpp"
 
+#include <algorithm>
 #include <array>
+#include <span>
 #include <stdexcept>
 
-#include "crypto/aes.hpp"
 #include "crypto/backend/backend.hpp"
 #include "crypto/ct.hpp"
+#include "crypto/expand.hpp"
 #include "crypto/keccak.hpp"
 #include "crypto/sha2.hpp"
 
@@ -13,14 +15,12 @@ namespace pqtls::kem {
 
 namespace {
 
-using crypto::AesCtr;
-using crypto::Shake;
-
 constexpr int kN = 256;
 constexpr int kQ = 3329;
 constexpr int kSymBytes = 32;
 
 using Poly = std::array<std::int16_t, kN>;
+using PolyVec = std::vector<Poly>;
 
 // Reduce into [0, q).
 std::int16_t freduce(std::int32_t a) {
@@ -65,65 +65,43 @@ Bytes kdf(bool use_90s, BytesView in) {
   return use_90s ? crypto::sha256(in) : crypto::shake256(in, kSymBytes);
 }
 
-Bytes prf(bool use_90s, BytesView seed32, std::uint8_t nonce, std::size_t len) {
-  if (use_90s) {
-    Bytes iv(16, 0);
-    iv[0] = nonce;
-    AesCtr ctr(seed32, iv);
-    Bytes out(len);
-    ctr.keystream(out.data(), out.size());
-    return out;
+// The NTT-domain matrix A from rho, row-major: entry [i * k + j] is sampled
+// from the stream (rho, j, i), or (rho, i, j) for the transpose.
+PolyVec sample_matrix(bool use_90s, BytesView rho, int k, bool transposed) {
+  const std::size_t n = static_cast<std::size_t>(k) * k;
+  PolyVec a(n);
+  std::uint16_t nonces[16];
+  int count[16] = {};
+  for (std::size_t idx = 0; idx < n; ++idx) {
+    const auto i = static_cast<unsigned>(idx / k);
+    const auto j = static_cast<unsigned>(idx % k);
+    nonces[idx] = static_cast<std::uint16_t>(transposed ? (i | j << 8)
+                                                        : (j | i << 8));
   }
-  Bytes input(seed32.begin(), seed32.end());
-  input.push_back(nonce);
-  return crypto::shake256(input, len);
-}
-
-// Uniform sampling of an NTT-domain polynomial from the seed (matrix A).
-Poly sample_uniform(bool use_90s, BytesView rho, std::uint8_t i, std::uint8_t j) {
-  Poly out{};
-  int count = 0;
-  if (use_90s) {
-    Bytes iv(16, 0);
-    iv[0] = i;
-    iv[1] = j;
-    AesCtr ctr(rho, iv);
-    std::uint8_t buf[192];
-    while (count < kN) {
-      ctr.keystream(buf, sizeof buf);
-      for (std::size_t b = 0; b + 3 <= sizeof buf && count < kN; b += 3) {
-        int d1 = buf[b] | ((buf[b + 1] & 0x0f) << 8);
-        int d2 = (buf[b + 1] >> 4) | (buf[b + 2] << 4);
-        if (d1 < kQ) out[count++] = static_cast<std::int16_t>(d1);
-        if (d2 < kQ && count < kN) out[count++] = static_cast<std::int16_t>(d2);
-      }
-    }
-  } else {
-    Shake xof(128);
-    Bytes input(rho.begin(), rho.end());
-    input.push_back(i);
-    input.push_back(j);
-    xof.absorb(input);
-    std::uint8_t buf[168];
-    while (count < kN) {
-      xof.squeeze(buf, sizeof buf);
-      for (std::size_t b = 0; b + 3 <= sizeof buf && count < kN; b += 3) {
-        int d1 = buf[b] | ((buf[b + 1] & 0x0f) << 8);
-        int d2 = (buf[b + 1] >> 4) | (buf[b + 2] << 4);
-        if (d1 < kQ) out[count++] = static_cast<std::int16_t>(d1);
-        if (d2 < kQ && count < kN) out[count++] = static_cast<std::int16_t>(d2);
-      }
-    }
-  }
-  return out;
+  // Stream (rho, x, y) is XOF(rho || x || y), or AES-256-CTR with x, y
+  // in the IV for 90s. Rejection-sample 12-bit candidates below q.
+  constexpr std::size_t kBlock = 168;  // one SHAKE128 block, 56 triples
+  crypto::sample_streams<kBlock>(
+      {use_90s, 128, 2}, rho, {nonces, n},
+      [&](std::size_t t, const std::uint8_t* buf) {
+        for (std::size_t b = 0; b + 3 <= kBlock && count[t] < kN; b += 3) {
+          int d1 = buf[b] | ((buf[b + 1] & 0x0f) << 8);
+          int d2 = (buf[b + 1] >> 4) | (buf[b + 2] << 4);
+          if (d1 < kQ) a[t][count[t]++] = static_cast<std::int16_t>(d1);
+          if (d2 < kQ && count[t] < kN)
+            a[t][count[t]++] = static_cast<std::int16_t>(d2);
+        }
+        return count[t] == kN;
+      });
+  return a;
 }
 
 // Centered binomial distribution with parameter eta (2 or 3).
-Poly cbd(BytesView buf, int eta) {
+Poly cbd(const std::uint8_t* buf, int eta) {
   Poly r{};
   if (eta == 2) {
     for (int i = 0; i < kN / 8; ++i) {
-      std::uint32_t t = load_le32(buf.data() + 4 * i);
+      std::uint32_t t = load_le32(buf + 4 * i);
       std::uint32_t d = (t & 0x55555555u) + ((t >> 1) & 0x55555555u);
       for (int j = 0; j < 8; ++j) {
         int a = (d >> (4 * j)) & 0x3;
@@ -145,6 +123,33 @@ Poly cbd(BytesView buf, int eta) {
     }
   }
   return r;
+}
+
+// One CBD noise polynomial to sample: where it goes and its eta.
+struct Noise {
+  Poly* poly;
+  int eta;
+};
+
+// *jobs[t].poly = CBD_eta(PRF(seed, t)) for every t (nonces count from 0).
+// PRF(seed, t) is SHAKE256(seed || t), or AES-256-CTR with t in the IV for
+// 90s.
+void sample_noise(bool use_90s, BytesView seed, std::span<const Noise> jobs) {
+  constexpr std::size_t kMaxJobs = 9;  // 2k + 1 at k = 4
+  constexpr std::size_t kMaxLen = 3 * kN / 4;
+  std::uint16_t nonces[kMaxJobs];
+  std::uint8_t bufs[kMaxJobs][kMaxLen];
+  std::uint8_t* out[kMaxJobs];
+  std::size_t len = 0;
+  for (std::size_t t = 0; t < jobs.size(); ++t) {
+    nonces[t] = static_cast<std::uint16_t>(t);
+    out[t] = bufs[t];
+    len = std::max<std::size_t>(len, jobs[t].eta * kN / 4);
+  }
+  crypto::read_streams({use_90s, 256, 1}, seed, {nonces, jobs.size()},
+                       {out, jobs.size()}, len);
+  for (std::size_t t = 0; t < jobs.size(); ++t)
+    *jobs[t].poly = cbd(bufs[t], jobs[t].eta);
 }
 
 // 12-bit packing of an uncompressed polynomial.
@@ -239,8 +244,6 @@ struct KpkeParams {
   bool use_90s;
 };
 
-using PolyVec = std::vector<Poly>;
-
 // IND-CPA public-key encryption (K-PKE).
 struct Kpke {
   KpkeParams p;
@@ -254,26 +257,21 @@ struct Kpke {
     BytesView rho{g.data(), 32};
     BytesView sigma{g.data() + 32, 32};
 
-    std::uint8_t nonce = 0;
     PolyVec s(p.k), e(p.k);
-    std::size_t cbd_len = p.eta1 * kN / 4;
-    for (auto& poly : s) {
-      poly = cbd(prf(p.use_90s, sigma, nonce++, cbd_len), p.eta1);
-      ntt(poly);
-    }
-    for (auto& poly : e) {
-      poly = cbd(prf(p.use_90s, sigma, nonce++, cbd_len), p.eta1);
-      ntt(poly);
-    }
+    std::vector<Noise> jobs;
+    for (auto& poly : s) jobs.push_back({&poly, p.eta1});
+    for (auto& poly : e) jobs.push_back({&poly, p.eta1});
+    sample_noise(p.use_90s, sigma, jobs);
+    for (auto& poly : s) ntt(poly);
+    for (auto& poly : e) ntt(poly);
 
+    const PolyVec a = sample_matrix(p.use_90s, rho, p.k, /*transposed=*/false);
     PolyVec t(p.k);
     for (int i = 0; i < p.k; ++i) {
       t[i] = Poly{};
-      for (int j = 0; j < p.k; ++j) {
-        Poly a = sample_uniform(p.use_90s, rho, static_cast<std::uint8_t>(j),
-                                static_cast<std::uint8_t>(i));
-        basemul_acc(t[i], a, s[j], /*accumulate=*/true);
-      }
+      for (int j = 0; j < p.k; ++j)
+        basemul_acc(t[i], a[static_cast<std::size_t>(i) * p.k + j], s[j],
+                    /*accumulate=*/true);
       poly_add(t[i], e[i]);
     }
 
@@ -299,28 +297,20 @@ struct Kpke {
     for (int i = 0; i < p.k; ++i)
       x.t[i] = poly_frombytes(pk.subspan(384 * i, 384));
     BytesView rho = pk.subspan(384 * p.k, kSymBytes);
-    x.at.resize(static_cast<std::size_t>(p.k) * p.k);
-    for (int i = 0; i < p.k; ++i)
-      for (int j = 0; j < p.k; ++j)
-        x.at[static_cast<std::size_t>(i) * p.k + j] = sample_uniform(
-            p.use_90s, rho, static_cast<std::uint8_t>(i),
-            static_cast<std::uint8_t>(j));
+    x.at = sample_matrix(p.use_90s, rho, p.k, /*transposed=*/true);
     return x;
   }
 
   Bytes encrypt_with(const ExpandedPk& x, BytesView msg32,
                      BytesView coins32) const {
-    std::uint8_t nonce = 0;
-    PolyVec r(p.k);
-    std::size_t cbd1_len = p.eta1 * kN / 4;
-    for (auto& poly : r) {
-      poly = cbd(prf(p.use_90s, coins32, nonce++, cbd1_len), p.eta1);
-      ntt(poly);
-    }
-    PolyVec e1(p.k);
-    for (auto& poly : e1)
-      poly = cbd(prf(p.use_90s, coins32, nonce++, kN / 2), 2);
-    Poly e2 = cbd(prf(p.use_90s, coins32, nonce++, kN / 2), 2);
+    PolyVec r(p.k), e1(p.k);
+    Poly e2;
+    std::vector<Noise> jobs;
+    for (auto& poly : r) jobs.push_back({&poly, p.eta1});
+    for (auto& poly : e1) jobs.push_back({&poly, 2});
+    jobs.push_back({&e2, 2});
+    sample_noise(p.use_90s, coins32, jobs);
+    for (auto& poly : r) ntt(poly);
 
     // u = invNTT(A^T r) + e1
     PolyVec u(p.k);

@@ -1,6 +1,7 @@
 #include "perf/cost_model.hpp"
 
 #include <map>
+#include <stdexcept>
 #include <string>
 
 namespace pqtls::perf {
@@ -76,11 +77,10 @@ std::string_view canonical(std::string_view name) {
   return name;
 }
 
-constexpr double kFallbackUs = 500;  // unknown algorithm: conservative
-
 // Exact-name lookup first (covers "dilithium2_aes", "kyber90s512"), then
 // hybrid decomposition at the first underscore ("p256_kyber512" =
-// p256 + kyber512). Member selects the operation from the cost struct.
+// p256 + kyber512). Member selects the operation from the cost struct. An
+// algorithm with no entry is an error, never a guessed cost.
 template <typename Table, typename Member>
 double resolve_us(const Table& table, std::string_view name, Member member) {
   auto it = table.find(canonical(name));
@@ -92,7 +92,8 @@ double resolve_us(const Table& table, std::string_view name, Member member) {
     if (a != table.end() && b != table.end())
       return a->second.*member + b->second.*member;
   }
-  return kFallbackUs;
+  throw std::invalid_argument("CostModel: no cost entry for algorithm '" +
+                              std::string(name) + "'");
 }
 
 // Fraction of an operation that same-key batching amortizes (public-key

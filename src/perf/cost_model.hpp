@@ -22,9 +22,9 @@ class CostModel {
   /// The built-in table (process-wide, immutable, thread-safe).
   static const CostModel& builtin();
 
-  // Per-operation costs in seconds. Unknown algorithms get a conservative
-  // default; hybrid names ("p256_kyber512", "rsa3072_dilithium2") resolve
-  // to the sum of their components.
+  // Per-operation costs in seconds. Hybrid names ("p256_kyber512",
+  // "rsa3072_dilithium2") resolve to the sum of their components; a name
+  // with no table entry throws std::invalid_argument.
   double kem_keygen(std::string_view ka) const;
   double kem_encaps(std::string_view ka) const;
   double kem_decaps(std::string_view ka) const;

@@ -1,18 +1,18 @@
 #include "sig/dilithium.hpp"
 
 #include <array>
+#include <span>
 #include <stdexcept>
 
-#include "crypto/aes.hpp"
 #include "crypto/backend/backend.hpp"
 #include "crypto/ct.hpp"
+#include "crypto/expand.hpp"
 #include "crypto/keccak.hpp"
 
 namespace pqtls::sig {
 
 namespace {
 
-using crypto::AesCtr;
 using crypto::Shake;
 
 constexpr int kN = 256;
@@ -94,115 +94,6 @@ std::int32_t use_hint(std::int32_t a, bool hint, std::int32_t gamma2) {
   }
   if (a0 > 0) return (a1 + 1) & 15;
   return (a1 - 1) & 15;
-}
-
-// --- XOF helpers: SHAKE (default) or AES-256-CTR ("aes" variant) ---
-
-class ExpandStream {
- public:
-  // seed: 32 bytes (A) or 64 bytes (s/y); nonce distinguishes polynomials.
-  ExpandStream(bool use_aes, BytesView seed, std::uint16_t nonce) {
-    if (use_aes) {
-      Bytes key(seed.begin(), seed.end());
-      key.resize(32, 0);  // AES-256 key from the first 32 seed bytes
-      Bytes iv(16, 0);
-      iv[0] = static_cast<std::uint8_t>(nonce);
-      iv[1] = static_cast<std::uint8_t>(nonce >> 8);
-      ctr_ = std::make_unique<AesCtr>(key, iv);
-    } else {
-      xof_ = std::make_unique<Shake>(seed.size() == 32 ? 128 : 256);
-      xof_->absorb(seed);
-      std::uint8_t n[2] = {static_cast<std::uint8_t>(nonce),
-                           static_cast<std::uint8_t>(nonce >> 8)};
-      xof_->absorb({n, 2});
-    }
-  }
-  void read(std::uint8_t* out, std::size_t len) {
-    if (ctr_)
-      ctr_->keystream(out, len);
-    else
-      xof_->squeeze(out, len);
-  }
-
- private:
-  std::unique_ptr<AesCtr> ctr_;
-  std::unique_ptr<Shake> xof_;
-};
-
-// Uniform polynomial mod q (ExpandA), 23-bit rejection sampling.
-Poly expand_a(bool use_aes, BytesView rho, int i, int j) {
-  ExpandStream stream(use_aes, rho,
-                      static_cast<std::uint16_t>((i << 8) | j));
-  Poly out{};
-  int count = 0;
-  std::uint8_t buf[168];
-  while (count < kN) {
-    stream.read(buf, sizeof buf);
-    for (std::size_t b = 0; b + 3 <= sizeof buf && count < kN; b += 3) {
-      std::int32_t t = buf[b] | (std::int32_t{buf[b + 1]} << 8) |
-                       ((std::int32_t{buf[b + 2]} & 0x7f) << 16);
-      if (t < kQ) out[count++] = t;
-    }
-  }
-  return out;
-}
-
-// Short secret polynomial (ExpandS), eta in {2, 4}.
-Poly expand_s(bool use_aes, BytesView rho_prime, std::uint16_t nonce, int eta) {
-  ExpandStream stream(use_aes, rho_prime, nonce);
-  Poly out{};
-  int count = 0;
-  std::uint8_t buf[64];
-  while (count < kN) {
-    stream.read(buf, sizeof buf);
-    for (std::size_t b = 0; b < sizeof buf && count < kN; ++b) {
-      for (int nib = 0; nib < 2 && count < kN; ++nib) {
-        int t = nib ? (buf[b] >> 4) : (buf[b] & 0xf);
-        if (eta == 2) {
-          if (t < 15) out[count++] = freduce(2 - (t % 5));
-        } else {
-          if (t < 9) out[count++] = freduce(4 - t);
-        }
-      }
-    }
-  }
-  return out;
-}
-
-// Mask polynomial y (ExpandMask), coefficients in (-gamma1, gamma1].
-Poly expand_mask(bool use_aes, BytesView rho_prime, std::uint16_t nonce,
-                 std::int32_t gamma1) {
-  ExpandStream stream(use_aes, rho_prime, nonce);
-  Poly out{};
-  if (gamma1 == (1 << 17)) {
-    std::uint8_t buf[kN * 18 / 8];
-    stream.read(buf, sizeof buf);
-    for (int i = 0; i < kN / 4; ++i) {
-      const std::uint8_t* b = buf + 9 * i;
-      std::uint32_t t[4];
-      t[0] = b[0] | (std::uint32_t{b[1]} << 8) | ((std::uint32_t{b[2]} & 0x3) << 16);
-      t[1] = (b[2] >> 2) | (std::uint32_t{b[3]} << 6) |
-             ((std::uint32_t{b[4]} & 0xf) << 14);
-      t[2] = (b[4] >> 4) | (std::uint32_t{b[5]} << 4) |
-             ((std::uint32_t{b[6]} & 0x3f) << 12);
-      t[3] = (b[6] >> 6) | (std::uint32_t{b[7]} << 2) | (std::uint32_t{b[8]} << 10);
-      for (int j = 0; j < 4; ++j)
-        out[4 * i + j] = freduce(static_cast<std::int64_t>(gamma1) - t[j]);
-    }
-  } else {  // gamma1 == 2^19, 20 bits per coefficient
-    std::uint8_t buf[kN * 20 / 8];
-    stream.read(buf, sizeof buf);
-    for (int i = 0; i < kN / 2; ++i) {
-      const std::uint8_t* b = buf + 5 * i;
-      std::uint32_t t0 = b[0] | (std::uint32_t{b[1]} << 8) |
-                         ((std::uint32_t{b[2]} & 0xf) << 16);
-      std::uint32_t t1 = (b[2] >> 4) | (std::uint32_t{b[3]} << 4) |
-                         (std::uint32_t{b[4]} << 12);
-      out[2 * i] = freduce(static_cast<std::int64_t>(gamma1) - t0);
-      out[2 * i + 1] = freduce(static_cast<std::int64_t>(gamma1) - t1);
-    }
-  }
-  return out;
 }
 
 // Challenge polynomial with tau +-1 coefficients (SampleInBall).
@@ -451,6 +342,82 @@ bool unpack_hints(BytesView in, int omega, int k,
   return true;
 }
 
+// --- seed expansion: SHAKE (default) or AES-256-CTR ("aes" variant) ---
+
+// Stream (seed, nonce): SHAKE128 for the 32-byte rho, SHAKE256 for the
+// 64-byte rho'; the nonce appended as two little-endian bytes.
+crypto::StreamKind stream_kind(bool use_aes, BytesView seed) {
+  return {use_aes, seed.size() == 32 ? 128 : 256, 2};
+}
+
+// The k x l matrix A (ExpandA), row-major: a[i * l + j] holds the uniform
+// polynomial mod q of the stream (rho, (i << 8) | j), by 23-bit rejection.
+PolyVec expand_matrix(bool use_aes, BytesView rho, int k, int l) {
+  const std::size_t n = static_cast<std::size_t>(k) * l;
+  PolyVec a(n);
+  std::uint16_t nonces[64];
+  int count[64] = {};
+  for (std::size_t idx = 0; idx < n; ++idx)
+    nonces[idx] = static_cast<std::uint16_t>(((idx / l) << 8) | (idx % l));
+  constexpr std::size_t kBlock = 168;  // one SHAKE128 block, 56 triples
+  crypto::sample_streams<kBlock>(
+      stream_kind(use_aes, rho), rho, {nonces, n},
+      [&](std::size_t t, const std::uint8_t* buf) {
+        for (std::size_t b = 0; b + 3 <= kBlock && count[t] < kN; b += 3) {
+          std::int32_t v = buf[b] | (std::int32_t{buf[b + 1]} << 8) |
+                           ((std::int32_t{buf[b + 2]} & 0x7f) << 16);
+          if (v < kQ) a[t][count[t]++] = v;
+        }
+        return count[t] == kN;
+      });
+  return a;
+}
+
+// Short secret polynomials (ExpandS), eta in {2, 4}: out[t] from the
+// stream (rho', nonce0 + t), rejection-sampling nibbles.
+void expand_s(bool use_aes, BytesView rho_prime, std::uint16_t nonce0,
+              int eta, std::span<Poly> out) {
+  std::uint16_t nonces[16];
+  int count[16] = {};
+  for (std::size_t t = 0; t < out.size(); ++t)
+    nonces[t] = static_cast<std::uint16_t>(nonce0 + t);
+  crypto::sample_streams<136>(  // one SHAKE256 block
+      stream_kind(use_aes, rho_prime), rho_prime, {nonces, out.size()},
+      [&](std::size_t t, const std::uint8_t* buf) {
+        for (std::size_t b = 0; b < 136 && count[t] < kN; ++b) {
+          for (int nib = 0; nib < 2 && count[t] < kN; ++nib) {
+            int v = nib ? (buf[b] >> 4) : (buf[b] & 0xf);
+            if (eta == 2) {
+              if (v < 15) out[t][count[t]++] = freduce(2 - (v % 5));
+            } else {
+              if (v < 9) out[t][count[t]++] = freduce(4 - v);
+            }
+          }
+        }
+        return count[t] == kN;
+      });
+}
+
+// Mask polynomials y (ExpandMask), coefficients in (-gamma1, gamma1]:
+// out[t] from the stream (rho', nonce0 + t).
+void expand_mask(bool use_aes, BytesView rho_prime, std::uint16_t nonce0,
+                 std::int32_t gamma1, std::span<Poly> out) {
+  constexpr std::size_t kMaxPolys = 8;
+  constexpr std::size_t kMaxBytes = kN * 20 / 8;
+  const std::size_t len = gamma1 == (1 << 17) ? kN * 18 / 8 : kMaxBytes;
+  std::uint16_t nonces[kMaxPolys];
+  std::uint8_t bufs[kMaxPolys][kMaxBytes];
+  std::uint8_t* dst[kMaxPolys];
+  for (std::size_t t = 0; t < out.size(); ++t) {
+    nonces[t] = static_cast<std::uint16_t>(nonce0 + t);
+    dst[t] = bufs[t];
+  }
+  crypto::read_streams(stream_kind(use_aes, rho_prime), rho_prime,
+                       {nonces, out.size()}, {dst, out.size()}, len);
+  for (std::size_t t = 0; t < out.size(); ++t)
+    out[t] = unpack_z({bufs[t], len}, gamma1);  // the same bit packing
+}
+
 }  // namespace
 
 DilithiumSigner::DilithiumSigner(int level, bool use_aes)
@@ -493,22 +460,21 @@ SigKeyPair DilithiumSigner::generate_keypair(Drbg& rng) const {
   BytesView rho_prime{expanded.data() + 32, 64};
   BytesView key{expanded.data() + 96, 32};
 
-  PolyVec s1(l_), s2(k_);
-  for (int i = 0; i < l_; ++i)
-    s1[i] = expand_s(use_aes_, rho_prime, static_cast<std::uint16_t>(i), eta_);
-  for (int i = 0; i < k_; ++i)
-    s2[i] = expand_s(use_aes_, rho_prime, static_cast<std::uint16_t>(l_ + i), eta_);
+  // s1 takes nonces 0..l-1 and s2 l..l+k-1: one run of l + k streams.
+  PolyVec s(l_ + k_);
+  expand_s(use_aes_, rho_prime, 0, eta_, s);
+  PolyVec s1(s.begin(), s.begin() + l_), s2(s.begin() + l_, s.end());
 
   PolyVec s1_hat = s1;
   for (auto& p : s1_hat) ntt(p);
 
+  const PolyVec a = expand_matrix(use_aes_, rho, k_, l_);
   PolyVec t(k_);
   for (int i = 0; i < k_; ++i) {
     Poly acc{};
-    for (int j = 0; j < l_; ++j) {
-      Poly a = expand_a(use_aes_, rho, i, j);
-      poly_pointwise_acc(acc, a, s1_hat[j]);
-    }
+    for (int j = 0; j < l_; ++j)
+      poly_pointwise_acc(acc, a[static_cast<std::size_t>(i) * l_ + j],
+                         s1_hat[j]);
     invntt(acc);
     poly_add(acc, s2[i]);
     t[i] = acc;
@@ -563,9 +529,7 @@ Bytes DilithiumSigner::sign(BytesView secret_key, BytesView message,
   Bytes rho_prime = crypto::shake256(concat(key, mu), 64);
 
   // Precompute NTT-domain quantities.
-  std::vector<PolyVec> a_hat(k_, PolyVec(l_));
-  for (int i = 0; i < k_; ++i)
-    for (int j = 0; j < l_; ++j) a_hat[i][j] = expand_a(use_aes_, rho, i, j);
+  const PolyVec a_hat = expand_matrix(use_aes_, rho, k_, l_);
   PolyVec s1_hat = s1, s2_hat = s2, t0_hat = t0;
   for (auto& p : s1_hat) ntt(p);
   for (auto& p : s2_hat) ntt(p);
@@ -573,16 +537,16 @@ Bytes DilithiumSigner::sign(BytesView secret_key, BytesView message,
 
   for (std::uint16_t kappa = 0;; kappa = static_cast<std::uint16_t>(kappa + l_)) {
     PolyVec y(l_);
-    for (int i = 0; i < l_; ++i)
-      y[i] = expand_mask(use_aes_, rho_prime,
-                         static_cast<std::uint16_t>(kappa + i), gamma1_);
+    expand_mask(use_aes_, rho_prime, kappa, gamma1_, y);
     PolyVec y_hat = y;
     for (auto& p : y_hat) ntt(p);
 
     PolyVec w(k_);
     for (int i = 0; i < k_; ++i) {
       Poly acc{};
-      for (int j = 0; j < l_; ++j) poly_pointwise_acc(acc, a_hat[i][j], y_hat[j]);
+      for (int j = 0; j < l_; ++j)
+        poly_pointwise_acc(acc, a_hat[static_cast<std::size_t>(i) * l_ + j],
+                           y_hat[j]);
       invntt(acc);
       w[i] = acc;
     }
@@ -685,10 +649,7 @@ struct VerifyCtx {
 VerifyCtx build_verify_ctx(bool use_aes, BytesView public_key, int k, int l) {
   VerifyCtx ctx;
   BytesView rho = public_key.subspan(0, 32);
-  ctx.a.resize(static_cast<std::size_t>(k) * l);
-  for (int i = 0; i < k; ++i)
-    for (int j = 0; j < l; ++j)
-      ctx.a[static_cast<std::size_t>(i) * l + j] = expand_a(use_aes, rho, i, j);
+  ctx.a = expand_matrix(use_aes, rho, k, l);
   ctx.t1_hat.resize(k);
   for (int i = 0; i < k; ++i) {
     Poly t1 = unpack_t1(public_key.subspan(32 + 320 * i, 320));

@@ -1,6 +1,7 @@
 // Multi-backend crypto dispatch contracts (DESIGN.md §2.7):
 //  - selection parsing/fallback and the resolved active_name() metadata,
-//  - raw kernel equivalence (portable vs AVX2/AES-NI on random inputs),
+//  - raw kernel equivalence (portable vs AVX2/AES-NI on random inputs;
+//    every lane of the 4-way Keccak and ShakeX4 vs scalar sponges),
 //  - catalog-wide KAT equivalence: keygen/encaps/decaps and sign/verify
 //    bytes are identical under every backend selection,
 //  - campaign rows are byte-identical under forced-portable vs auto,
@@ -25,6 +26,7 @@
 #include "crypto/backend/kernels.hpp"
 #include "crypto/catalog.hpp"
 #include "crypto/drbg.hpp"
+#include "crypto/keccak.hpp"
 #include "loadgen/balancer.hpp"
 #include "loadgen/loadgen.hpp"
 #include "perf/cost_model.hpp"
@@ -184,6 +186,70 @@ TEST(BackendKernels, HarakaAesniMatchesPortable) {
     EXPECT_EQ(std::memcmp(b0, b1, sizeof b0), 0)
         << "permute256 s1 trial " << trial;
   }
+}
+
+// Every lane of the 4-way Keccak permutation, and of ShakeX4 on top of it,
+// equals the scalar permutation / a scalar SHAKE sponge: first under the
+// portable kernel, then under AVX2 when the binary and CPU have it.
+TEST(BackendKernels, KeccakX4MatchesScalar) {
+  SelectionGuard guard;
+  crypto::Drbg rng(std::uint64_t{0x6b656363616b34});
+
+  auto check_permute = [&](const backend::KeccakKernels& kernels) {
+    for (int trial = 0; trial < 50; ++trial) {
+      std::uint64_t x4[100], lanes[4][25];
+      for (int i = 0; i < 25; ++i)
+        for (int j = 0; j < 4; ++j) x4[4 * i + j] = lanes[j][i] = rng.u64();
+      kernels.permute_x4(x4);
+      for (int j = 0; j < 4; ++j) {
+        crypto::keccak_f1600(lanes[j]);
+        for (int i = 0; i < 25; ++i)
+          ASSERT_EQ(x4[4 * i + j], lanes[j][i])
+              << "trial " << trial << " lane " << j << " word " << i;
+      }
+    }
+  };
+
+  auto check_shake = [&](const char* selection) {
+    ASSERT_TRUE(backend::select(selection));
+    for (int bits : {128, 256}) {
+      for (std::size_t in_len : {0, 1, 34, 135, 136, 168, 169, 400}) {
+        for (std::size_t out_len : {1, 136, 168, 500}) {
+          SCOPED_TRACE(testing::Message() << selection << " shake" << bits
+                                          << " in " << in_len << " out "
+                                          << out_len);
+          Bytes msgs[4], outs[4];
+          std::array<BytesView, 4> inputs;
+          std::array<std::uint8_t*, 4> head, tail;
+          const std::size_t split = out_len / 3;  // two uneven squeezes
+          for (int j = 0; j < 4; ++j) {
+            msgs[j] = rng.bytes(in_len);
+            inputs[j] = msgs[j];
+            outs[j].assign(out_len, 0);
+            head[j] = outs[j].data();
+            tail[j] = outs[j].data() + split;
+          }
+          crypto::ShakeX4 x4(bits);
+          x4.absorb(inputs);
+          x4.squeeze(head, split);
+          x4.squeeze(tail, out_len - split);
+          for (int j = 0; j < 4; ++j) {
+            Bytes expected = bits == 128 ? crypto::shake128(msgs[j], out_len)
+                                         : crypto::shake256(msgs[j], out_len);
+            ASSERT_EQ(outs[j], expected) << "lane " << j;
+          }
+        }
+      }
+    }
+  };
+
+  check_permute(backend::detail::kKeccakPortable);
+  check_shake("portable");
+  const backend::KeccakKernels* avx2 = backend::detail::keccak_avx2();
+  if (avx2 == nullptr || !backend::cpu_supports(backend::Backend::kAvx2))
+    GTEST_SKIP() << "AVX2 Keccak kernel not available";
+  check_permute(*avx2);
+  check_shake("avx2");
 }
 
 // ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@
 #include "crypto/catalog.hpp"
 #include "crypto/drbg.hpp"
 #include "kem/kem.hpp"
+#include "perf/cost_model.hpp"
 #include "sig/sig.hpp"
 #include "tls/connection.hpp"
 #include "tls/server_context.hpp"
@@ -115,6 +116,28 @@ TEST(CatalogConsistency, EveryCampaignCellResolves) {
           << spec.name << " cell " << cell.id << " sa " << cell.config.sa;
     }
   }
+}
+
+// Modeled mode charges every catalog algorithm from an explicit cost-table
+// entry (hybrids as the sum of two entries); a name with no entry throws
+// rather than getting a guessed cost.
+TEST(CatalogConsistency, EveryAlgorithmHasACostEntry) {
+  const AlgorithmCatalog& catalog = AlgorithmCatalog::instance();
+  const perf::CostModel& cm = perf::CostModel::builtin();
+  for (const auto& info : catalog.kems()) {
+    SCOPED_TRACE(info.name);
+    EXPECT_GT(cm.kem_keygen(info.name), 0.0);
+    EXPECT_GT(cm.kem_encaps(info.name), 0.0);
+    EXPECT_GT(cm.kem_decaps(info.name), 0.0);
+  }
+  for (const auto& info : catalog.signers()) {
+    SCOPED_TRACE(info.name);
+    EXPECT_GT(cm.sign(info.name), 0.0);
+    EXPECT_GT(cm.verify(info.name), 0.0);
+  }
+  EXPECT_THROW(cm.kem_encaps("kyber9000"), std::invalid_argument);
+  EXPECT_THROW(cm.verify("ed25519"), std::invalid_argument);
+  EXPECT_THROW(cm.sign("p256_ed25519"), std::invalid_argument);
 }
 
 TEST(CatalogConsistency, UnknownNamesListValidAlternatives) {

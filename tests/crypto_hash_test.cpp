@@ -1,8 +1,15 @@
 // Known-answer tests for the hash/MAC/KDF primitives against published
-// vectors (FIPS 180-4, FIPS 202, RFC 4231, RFC 5869).
+// vectors (FIPS 180-4, FIPS 202, RFC 4231, RFC 5869), plus the Keccak
+// permutation against a reference oracle and sponge split-point checks.
+#include <bit>
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "crypto/bytes.hpp"
+#include "crypto/aes.hpp"
+#include "crypto/drbg.hpp"
+#include "crypto/expand.hpp"
 #include "crypto/keccak.hpp"
 #include "crypto/sha2.hpp"
 
@@ -104,6 +111,150 @@ TEST(Shake, IncrementalSqueezeMatchesOneShot) {
   Bytes c = xof.squeeze(57);
   Bytes joined = concat(a, b, c);
   EXPECT_EQ(joined, oneshot);
+}
+
+// Reference oracle: the straightforward loop form of Keccak-f[1600]
+// (FIPS 202 §3.2 step mappings with % 5 indexing and a pi table). The
+// unrolled production kernel must agree with it on every state.
+void keccak_f1600_reference(std::uint64_t* a) {
+  static constexpr std::uint64_t kRc[24] = {
+      0x0000000000000001ULL, 0x0000000000008082ULL, 0x800000000000808aULL,
+      0x8000000080008000ULL, 0x000000000000808bULL, 0x0000000080000001ULL,
+      0x8000000080008081ULL, 0x8000000000008009ULL, 0x000000000000008aULL,
+      0x0000000000000088ULL, 0x0000000080008009ULL, 0x000000008000000aULL,
+      0x000000008000808bULL, 0x800000000000008bULL, 0x8000000000008089ULL,
+      0x8000000000008003ULL, 0x8000000000008002ULL, 0x8000000000000080ULL,
+      0x000000000000800aULL, 0x800000008000000aULL, 0x8000000080008081ULL,
+      0x8000000000008080ULL, 0x0000000080000001ULL, 0x8000000080008008ULL};
+  static constexpr int kRot[25] = {0,  1,  62, 28, 27, 36, 44, 6,  55,
+                                   20, 3,  10, 43, 25, 39, 41, 45, 15,
+                                   21, 8,  18, 2,  61, 56, 14};
+  // Destination index of lane (x, y) under pi: (y, 2x+3y).
+  static constexpr int kPi[25] = {0,  10, 20, 5,  15, 16, 1,  11, 21,
+                                  6,  7,  17, 2,  12, 22, 23, 8,  18,
+                                  3,  13, 14, 24, 9,  19, 4};
+  for (int round = 0; round < 24; ++round) {
+    std::uint64_t c[5], d[5];
+    for (int x = 0; x < 5; ++x)
+      c[x] = a[x] ^ a[x + 5] ^ a[x + 10] ^ a[x + 15] ^ a[x + 20];
+    for (int x = 0; x < 5; ++x)
+      d[x] = c[(x + 4) % 5] ^ std::rotl(c[(x + 1) % 5], 1);
+    for (int i = 0; i < 25; ++i) a[i] ^= d[i % 5];
+    std::uint64_t b[25];
+    for (int i = 0; i < 25; ++i) b[kPi[i]] = std::rotl(a[i], kRot[i]);
+    for (int y = 0; y < 5; ++y)
+      for (int x = 0; x < 5; ++x)
+        a[y * 5 + x] =
+            b[y * 5 + x] ^ (~b[y * 5 + (x + 1) % 5] & b[y * 5 + (x + 2) % 5]);
+    a[0] ^= kRc[round];
+  }
+}
+
+TEST(Keccak, UnrolledPermutationMatchesReference) {
+  Drbg rng(std::uint64_t{0x6b656363616b});
+  for (int trial = 0; trial < 1000; ++trial) {
+    std::uint64_t expected[25], actual[25];
+    for (int i = 0; i < 25; ++i) expected[i] = actual[i] = rng.u64();
+    keccak_f1600_reference(expected);
+    keccak_f1600(actual);
+    ASSERT_EQ(std::memcmp(expected, actual, sizeof actual), 0)
+        << "state " << trial;
+  }
+}
+
+// Incremental absorb and squeeze equal the one-shot output at every split
+// point from 0 to two blocks, across the lane-wise and byte-wise paths.
+void check_split_points(std::size_t rate, std::uint8_t domain) {
+  SCOPED_TRACE(testing::Message() << "rate " << rate);
+  const std::size_t len = 2 * rate + 5;
+  Bytes msg(len);
+  for (std::size_t i = 0; i < len; ++i)
+    msg[i] = static_cast<std::uint8_t>(i * 151 + 3);
+  KeccakSponge whole(rate, domain);
+  whole.absorb(msg);
+  const Bytes expected = whole.squeeze(len);
+  for (std::size_t split = 0; split <= 2 * rate; ++split) {
+    KeccakSponge absorbed(rate, domain);
+    absorbed.absorb(BytesView{msg}.first(split));
+    absorbed.absorb(BytesView{msg}.subspan(split));
+    ASSERT_EQ(absorbed.squeeze(len), expected) << "absorb split " << split;
+
+    KeccakSponge squeezed(rate, domain);
+    squeezed.absorb(msg);
+    Bytes head = squeezed.squeeze(split);
+    Bytes tail = squeezed.squeeze(len - split);
+    ASSERT_EQ(concat(head, tail), expected) << "squeeze split " << split;
+  }
+}
+
+TEST(Keccak, IncrementalMatchesOneShotAtEverySplit) {
+  check_split_points(136, 0x06);  // SHA3-256
+  check_split_points(72, 0x06);   // SHA3-512
+  check_split_points(168, 0x1f);  // SHAKE128
+  check_split_points(136, 0x1f);  // SHAKE256
+
+  // The sponge parameters above are the ones the named functions use.
+  Bytes msg = ascii("sponge parameters");
+  KeccakSponge sha3(136, 0x06);
+  sha3.absorb(msg);
+  EXPECT_EQ(sha3.squeeze(32), sha3_256(msg));
+  KeccakSponge sha3_wide(72, 0x06);
+  sha3_wide.absorb(msg);
+  EXPECT_EQ(sha3_wide.squeeze(64), sha3_512(msg));
+  KeccakSponge xof(168, 0x1f);
+  xof.absorb(msg);
+  EXPECT_EQ(xof.squeeze(200), shake128(msg, 200));
+}
+
+// Each expansion stream is exactly its own SHAKE(seed || nonce) or
+// AES-256-CTR stream, however the streams are grouped into fours.
+TEST(ExpandStreams, EachStreamIsItsOwnXof) {
+  Bytes seed(64);
+  for (std::size_t i = 0; i < seed.size(); ++i)
+    seed[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  const std::uint16_t nonces[6] = {0, 1, 2, 0x0102, 0x0201, 0xffff};
+  constexpr std::size_t kLen = 300;
+  for (const StreamKind kind : {StreamKind{false, 128, 2},
+                                StreamKind{false, 256, 1},
+                                StreamKind{true, 256, 2}}) {
+    SCOPED_TRACE(testing::Message() << "aes " << kind.aes << " bits "
+                                    << kind.shake_bits);
+    std::uint8_t bufs[6][kLen];
+    std::uint8_t* out[6];
+    for (int t = 0; t < 6; ++t) out[t] = bufs[t];
+    read_streams(kind, seed, nonces, out, kLen);
+
+    // Rejection-style reads of 100-byte chunks, stopping lanes early.
+    Bytes sampled[6];
+    sample_streams<100>(kind, seed, nonces,
+                        [&](std::size_t t, const std::uint8_t* chunk) {
+                          sampled[t].insert(sampled[t].end(), chunk,
+                                            chunk + 100);
+                          return sampled[t].size() >= 100 * (t % 3 + 1);
+                        });
+
+    for (int t = 0; t < 6; ++t) {
+      Bytes expected(kLen);
+      if (kind.aes) {
+        std::uint8_t iv[16] = {static_cast<std::uint8_t>(nonces[t]),
+                               static_cast<std::uint8_t>(nonces[t] >> 8)};
+        AesCtr(BytesView{seed}.first(32), BytesView{iv, 16})
+            .keystream(expected.data(), kLen);
+      } else {
+        Bytes msg = seed;
+        msg.push_back(static_cast<std::uint8_t>(nonces[t]));
+        if (kind.nonce_bytes == 2)
+          msg.push_back(static_cast<std::uint8_t>(nonces[t] >> 8));
+        expected = kind.shake_bits == 128 ? shake128(msg, kLen)
+                                          : shake256(msg, kLen);
+      }
+      EXPECT_EQ(Bytes(bufs[t], bufs[t] + kLen), expected) << "stream " << t;
+      ASSERT_EQ(sampled[t].size(), 100 * (t % 3 + 1)) << "stream " << t;
+      EXPECT_EQ(sampled[t], Bytes(expected.begin(),
+                                  expected.begin() + sampled[t].size()))
+          << "stream " << t;
+    }
+  }
 }
 
 TEST(Hmac, Rfc4231Case1) {
