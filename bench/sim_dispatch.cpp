@@ -1,7 +1,7 @@
 // Event-dispatch microbenchmark (google-benchmark): the pooled PodEvent
 // hot path of the sharded fleet loop against the std::function front-end
-// of the classic EventLoop, over the same sim::EventQueue heap. The fleet
-// engine exists to sustain ~10^6-connection runs, so the pooled path must
+// of sim::EventLoop, over the same sim::EventQueue heap. The load engine
+// exists to sustain ~10^6-connection runs, so the pooled path must
 // stay decisively faster than per-event std::function churn — CI gates on
 // the ratio via the --gate flag (see .github/workflows/ci.yml).
 //
@@ -70,8 +70,8 @@ void bm_dispatch_function(benchmark::State& state) {
   Counter counter;
   std::uint64_t jitter = 0x9e3779b97f4a7c15ull;
   std::uint64_t seq = 0;
-  // The captures mirror a classic-engine call site ([this, id, t, resumed,
-  // ...]): more than two words, so every push heap-allocates the closure
+  // The captures mirror a typical simulator call site ([this, id, t,
+  // resumed, ...]): more than two words, so every push heap-allocates the closure
   // (std::function's small-buffer optimization holds only 16 bytes).
   auto make = [&counter](std::uint64_t arg) {
     double deadline = static_cast<double>(arg);

@@ -1,38 +1,16 @@
+// Handshake profile calibration and the analytic capacity bound; the load
+// engine itself lives in fleet.cpp.
 #include "loadgen/loadgen.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
 #include <map>
 #include <mutex>
-#include <set>
 #include <stdexcept>
 #include <tuple>
-#include <vector>
 
-#include "analysis/stats.hpp"
 #include "crypto/catalog.hpp"
-#include "crypto/drbg.hpp"
-#include "loadgen/fleet.hpp"
-#include "loadgen/model.hpp"
 #include "perf/cost_model.hpp"
-#include "sim/event_loop.hpp"
 
 namespace pqtls::loadgen {
-
-namespace {
-
-using crypto::Drbg;
-using model::exp_sample;
-using model::Job;
-using model::JobOrder;
-using model::kFinishedWire;
-using model::Payloads;
-using model::Stage;
-using model::TimeAvg;
-using sim::EventLoop;
-
-}  // namespace
 
 const HandshakeProfile& calibrated_profile(const std::string& ka,
                                            const std::string& sa,
@@ -86,6 +64,7 @@ const HandshakeProfile& calibrated_profile(const std::string& ka,
     // tls::Connection (kem/sig operations, KDF derivations, per-byte
     // record work, per-step dispatch) without re-running the crypto.
     const perf::CostModel& cm = perf::CostModel::builtin();
+    constexpr std::size_t kFinishedWire = HandshakeProfile::kFinishedWire;
     std::size_t ch_wire =
         p.client_bytes > kFinishedWire ? p.client_bytes - kFinishedWire : 64;
     if (resumed) {
@@ -140,364 +119,6 @@ double analytic_capacity(const LoadConfig& config,
   double per_conn = config.harness_overhead_s + profile.server_cpu();
   if (per_conn <= 0 || config.cores < 1) return 0;
   return static_cast<double>(config.cores) / per_conn;
-}
-
-namespace {
-
-// The handshake stage/job/payload model is shared with the fleet engine in
-// loadgen/model.hpp; flights here are plain packets on the two shared
-// links — the connection index rides in tcp.seq, the Stage in tcp.ack.
-
-struct Conn {
-  double arrival = 0;  // SYN emission time at the client
-  int client = -1;     // closed-loop population index; -1 = open loop
-  bool resumed = false;  // uses the resumed profile's costs and payloads
-  bool accepted = false;
-  bool dropped = false;
-  bool abandoned = false;
-  bool done = false;
-};
-
-class Engine {
- public:
-  // `resumed` is the resumption-variant profile, null when the ratio is 0;
-  // capacity (and therefore load_factor) stays quoted against the full
-  // profile so "0.9x load" means the same offered rate at every ratio.
-  Engine(const LoadConfig& config, const HandshakeProfile& profile,
-         const HandshakeProfile* resumed)
-      : config_(config),
-        profile_(profile),
-        resumed_profile_(resumed),
-        capacity_(analytic_capacity(config, profile)),
-        t0_(config.warmup_s),
-        t1_(config.warmup_s + config.duration_s),
-        master_(config.seed),
-        arrival_rng_(master_.fork("arrivals")),
-        think_rng_(master_.fork("think")),
-        c2s_(loop_, config.netem, master_.fork("link-c2s")),
-        s2c_(loop_, config.netem, master_.fork("link-s2c")),
-        queue_(JobOrder{config.policy == Policy::kSjf}),
-        free_cores_(config.cores),
-        full_pay_(profile),
-        resumed_pay_(resumed ? *resumed : profile) {
-    queue_depth_.t0 = busy_cores_.t0 = t0_;
-    queue_depth_.t1 = busy_cores_.t1 = t1_;
-    c2s_.set_deliver([this](const net::Packet& p) { on_server_packet(p); });
-    s2c_.set_deliver([this](const net::Packet& p) { on_client_packet(p); });
-  }
-
-  LoadMetrics run() {
-    if (config_.arrival == Arrival::kPoisson) {
-      offered_ = config_.load_factor > 0 ? config_.load_factor * capacity_
-                                         : config_.offered_rate;
-      if (offered_ <= 0)
-        throw std::invalid_argument("loadgen: offered rate must be > 0");
-      schedule_arrival(exp_sample(arrival_rng_, 1.0 / offered_));
-    } else {
-      if (config_.clients < 1)
-        throw std::invalid_argument("loadgen: clients must be >= 1");
-      for (int i = 0; i < config_.clients; ++i)
-        schedule_client_start(i, exp_sample(think_rng_, config_.think_s));
-    }
-    // Arrivals stop at t1_; drain in-flight handshakes up to the timeout.
-    std::size_t events = loop_.run(t1_ + config_.timeout_s + 5.0);
-    LoadMetrics metrics = finish();
-    metrics.sim_events = static_cast<long long>(events);
-    return metrics;
-  }
-
- private:
-  bool in_window(double t) const { return t >= t0_ && t < t1_; }
-
-  void schedule_arrival(double at) {
-    if (at >= t1_) return;
-    loop_.schedule_at(at, [this] {
-      start_connection(-1);
-      schedule_arrival(loop_.now() +
-                       exp_sample(arrival_rng_, 1.0 / offered_));
-    });
-  }
-
-  void schedule_client_start(int client, double delay) {
-    if (loop_.now() + delay >= t1_) return;
-    loop_.schedule_in(delay, [this, client] { start_connection(client); });
-  }
-
-  void start_connection(int client) {
-    std::uint32_t id = static_cast<std::uint32_t>(conns_.size());
-    Conn conn;
-    conn.arrival = loop_.now();
-    conn.client = client;
-    // Deterministic interleaving by connection index (the testbed's
-    // spreading rule): no extra randomness, so ratio 0 is bit-identical.
-    conn.resumed =
-        resumed_profile_ &&
-        static_cast<long long>((id + 1) * config_.resumption_ratio) >
-            static_cast<long long>(id * config_.resumption_ratio);
-    conns_.push_back(conn);
-    loop_.schedule_in(config_.timeout_s, [this, id] { on_timeout(id); });
-    send(c2s_, id, Stage::kSyn, 0);
-  }
-
-  void send(net::Link& link, std::uint32_t id, Stage stage,
-            std::size_t payload) {
-    net::Packet p;
-    p.tcp.seq = id;
-    p.tcp.ack = static_cast<std::uint32_t>(stage);
-    p.payload.resize(payload);
-    link.send(std::move(p));
-  }
-
-  // ---- server side ----
-
-  void on_server_packet(const net::Packet& p) {
-    std::uint32_t id = p.tcp.seq;
-    Conn& conn = conns_[id];
-    switch (static_cast<Stage>(p.tcp.ack)) {
-      case Stage::kSyn: {
-        if (in_window(loop_.now())) ++arrivals_;
-        if (in_system_ >= config_.backlog) {
-          conn.dropped = true;
-          if (in_window(loop_.now())) ++dropped_;
-          // The refusal travels back one propagation delay; a closed-loop
-          // client then thinks and retries.
-          if (conn.client >= 0) {
-            int client = conn.client;
-            loop_.schedule_in(config_.netem.delay_s, [this, client] {
-              schedule_client_start(
-                  client, exp_sample(think_rng_, config_.think_s));
-            });
-          }
-          return;
-        }
-        conn.accepted = true;
-        ++in_system_;
-        send(s2c_, id, Stage::kSynAck, 0);
-        return;
-      }
-      case Stage::kClientHello:
-        if (conn.abandoned) return;
-        enqueue_job({id,
-                     config_.harness_overhead_s + prof(conn).server_flight_cpu,
-                     job_seq_++, /*final_stage=*/false});
-        return;
-      case Stage::kClientFinished:
-        if (conn.abandoned) return;
-        enqueue_job({id, prof(conn).server_finish_cpu, job_seq_++,
-                     /*final_stage=*/true});
-        return;
-      default:
-        return;
-    }
-  }
-
-  void enqueue_job(Job job) {
-    if (free_cores_ > 0) {
-      claim_core();
-      run_on_core(job);
-    } else {
-      queue_depth_.advance(loop_.now(), static_cast<double>(queue_.size()));
-      queue_.insert(job);
-    }
-  }
-
-  void claim_core() {
-    busy_cores_.advance(loop_.now(),
-                        static_cast<double>(config_.cores - free_cores_));
-    --free_cores_;
-  }
-  void release_core() {
-    busy_cores_.advance(loop_.now(),
-                        static_cast<double>(config_.cores - free_cores_));
-    ++free_cores_;
-  }
-
-  void run_on_core(Job job) {
-    loop_.schedule_in(job.cost, [this, job] { on_job_done(job); });
-  }
-
-  void on_job_done(const Job& job) {
-    Conn& conn = conns_[job.conn];
-    // An abandoned in-service job still burned its core time (wasted
-    // work); it just produces no flight.
-    if (!conn.abandoned) {
-      if (job.final_stage)
-        complete(job.conn);
-      else
-        send(s2c_, job.conn, Stage::kServerFlight, pay(conn).flight);
-    }
-    next_from_queue();
-  }
-
-  void next_from_queue() {
-    while (!queue_.empty()) {
-      queue_depth_.advance(loop_.now(), static_cast<double>(queue_.size()));
-      Job job = *queue_.begin();
-      queue_.erase(queue_.begin());
-      if (conns_[job.conn].abandoned) continue;  // discard queued work
-      run_on_core(job);
-      return;
-    }
-    release_core();
-  }
-
-  void complete(std::uint32_t id) {
-    Conn& conn = conns_[id];
-    conn.done = true;
-    --in_system_;
-    double now = loop_.now();
-    if (in_window(now)) latencies_.push_back(now - conn.arrival);
-    if (conn.client >= 0) {
-      int client = conn.client;
-      loop_.schedule_in(config_.netem.delay_s, [this, client] {
-        schedule_client_start(client,
-                              exp_sample(think_rng_, config_.think_s));
-      });
-    }
-  }
-
-  void on_timeout(std::uint32_t id) {
-    Conn& conn = conns_[id];
-    if (conn.done || conn.dropped) return;
-    conn.abandoned = true;
-    if (conn.accepted) --in_system_;
-    if (in_window(loop_.now())) ++timed_out_;
-    if (conn.client >= 0)
-      schedule_client_start(conn.client,
-                            exp_sample(think_rng_, config_.think_s));
-  }
-
-  // ---- client side ----
-
-  void on_client_packet(const net::Packet& p) {
-    std::uint32_t id = p.tcp.seq;
-    const Conn& conn = conns_[id];
-    if (conn.abandoned) return;
-    switch (static_cast<Stage>(p.tcp.ack)) {
-      case Stage::kSynAck:
-        // Client compute is latency-only: the client population is not the
-        // contended resource in this model.
-        loop_.schedule_in(prof(conn).client_hello_cpu, [this, id] {
-          if (!conns_[id].abandoned)
-            send(c2s_, id, Stage::kClientHello, pay(conns_[id]).ch);
-        });
-        return;
-      case Stage::kServerFlight:
-        loop_.schedule_in(prof(conn).client_finish_cpu, [this, id] {
-          if (!conns_[id].abandoned)
-            send(c2s_, id, Stage::kClientFinished, pay(conns_[id]).fin);
-        });
-        return;
-      default:
-        return;
-    }
-  }
-
-  LoadMetrics finish() {
-    // The held value persists to the end of the window even if the event
-    // queue drained earlier.
-    double end = std::max(loop_.now(), t1_);
-    queue_depth_.advance(end, static_cast<double>(queue_.size()));
-    busy_cores_.advance(end,
-                        static_cast<double>(config_.cores - free_cores_));
-
-    LoadMetrics m;
-    m.analytic_capacity = capacity_;
-    if (resumed_profile_) {
-      // Ratio-weighted expectation over the full/resumed mix.
-      double r = config_.resumption_ratio;
-      m.server_cpu_s = config_.harness_overhead_s +
-                       (1 - r) * profile_.server_cpu() +
-                       r * resumed_profile_->server_cpu();
-      m.client_bytes = static_cast<std::size_t>(std::llround(
-          (1 - r) * static_cast<double>(profile_.client_bytes) +
-          r * static_cast<double>(resumed_profile_->client_bytes)));
-      m.server_bytes = static_cast<std::size_t>(std::llround(
-          (1 - r) * static_cast<double>(profile_.server_bytes) +
-          r * static_cast<double>(resumed_profile_->server_bytes)));
-    } else {
-      m.server_cpu_s = config_.harness_overhead_s + profile_.server_cpu();
-      m.client_bytes = profile_.client_bytes;
-      m.server_bytes = profile_.server_bytes;
-    }
-    m.arrivals = arrivals_;
-    m.completed = static_cast<long long>(latencies_.size());
-    m.dropped = dropped_;
-    m.timed_out = timed_out_;
-    m.offered_rate = static_cast<double>(arrivals_) / config_.duration_s;
-    m.achieved_rate =
-        static_cast<double>(latencies_.size()) / config_.duration_s;
-    m.mean_queue_depth = queue_depth_.mean();
-    m.core_utilization =
-        config_.cores > 0 ? busy_cores_.mean() / config_.cores : 0;
-    if (!latencies_.empty()) {
-      m.ok = true;
-      m.mean_latency = analysis::mean(latencies_);
-      m.p50 = analysis::percentile(latencies_, 50);
-      m.p90 = analysis::percentile(latencies_, 90);
-      m.p99 = analysis::percentile(latencies_, 99);
-      m.p999 = analysis::percentile(latencies_, 99.9);
-    } else {
-      // No completions: there is no latency distribution. NaN, not 0 —
-      // "instantly fast" is the one thing an empty window does not mean.
-      double nan = std::numeric_limits<double>::quiet_NaN();
-      m.mean_latency = m.p50 = m.p90 = m.p99 = m.p999 = nan;
-    }
-    return m;
-  }
-
-  const HandshakeProfile& prof(const Conn& conn) const {
-    return conn.resumed ? *resumed_profile_ : profile_;
-  }
-  const Payloads& pay(const Conn& conn) const {
-    return conn.resumed ? resumed_pay_ : full_pay_;
-  }
-
-  const LoadConfig& config_;
-  const HandshakeProfile& profile_;
-  const HandshakeProfile* resumed_profile_ = nullptr;
-  double capacity_ = 0;
-  double offered_ = 0;
-  double t0_ = 0, t1_ = 0;
-
-  EventLoop loop_;
-  Drbg master_;
-  Drbg arrival_rng_;
-  Drbg think_rng_;
-  net::Link c2s_;
-  net::Link s2c_;
-
-  std::vector<Conn> conns_;
-  std::set<Job, JobOrder> queue_;
-  std::uint64_t job_seq_ = 0;
-  int free_cores_ = 0;
-  int in_system_ = 0;
-
-  Payloads full_pay_, resumed_pay_;
-  TimeAvg queue_depth_, busy_cores_;
-  std::vector<double> latencies_;
-  long long arrivals_ = 0, dropped_ = 0, timed_out_ = 0;
-};
-
-}  // namespace
-
-LoadMetrics run_load(const LoadConfig& config) {
-  // Fleet-class configs run on the sharded multi-server engine; the
-  // default class keeps this classic engine, so its golden rows stay
-  // byte-identical by construction.
-  if (config.is_fleet()) return run_fleet(config);
-  std::uint64_t pki_seed = config.pki_seed ? config.pki_seed : config.seed;
-  const HandshakeProfile& profile =
-      calibrated_profile(config.ka, config.sa, pki_seed, /*resumed=*/false,
-                         config.chain_profile, config.cert_mode, config.batch);
-  const HandshakeProfile* resumed =
-      config.resumption_ratio > 0
-          ? &calibrated_profile(config.ka, config.sa, pki_seed,
-                                /*resumed=*/true, config.chain_profile,
-                                config.cert_mode, config.batch)
-          : nullptr;
-  Engine engine(config, profile, resumed);
-  return engine.run();
 }
 
 }  // namespace pqtls::loadgen

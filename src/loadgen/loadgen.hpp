@@ -1,13 +1,13 @@
 // Load-generation subsystem: a discrete-event, multi-connection capacity
 // model for a PQ-TLS server under concurrent handshake load. The paper's
 // white-box throughput (Table 3) extrapolates a single-connection rate
-// (1/mean_cycle); this module instead models what a K-core server does when
-// many handshakes arrive at once: crypto steps are charged from
-// perf::CostModel onto a contended run queue, so queueing delay, tail
+// (1/mean_cycle); this module instead models what K-core servers behind a
+// balancer do when many handshakes arrive at once: crypto steps are charged
+// from perf::CostModel onto contended run queues, so queueing delay, tail
 // latency, accept-queue overflow, and client abandonment emerge naturally.
-// Everything runs in virtual time on sim::EventLoop with explicit seeds —
-// results are bit-reproducible at any campaign worker count (DESIGN.md
-// section 6c).
+// Everything runs in virtual time on sim::ShardedEventLoop with explicit
+// seeds — results are bit-reproducible at any campaign worker count and
+// any shard count (DESIGN.md §6f).
 #pragma once
 
 #include <cstddef>
@@ -18,6 +18,10 @@
 #include "loadgen/balancer.hpp"
 #include "net/link.hpp"
 #include "testbed/testbed.hpp"
+
+namespace pqtls::trace {
+class Recorder;
+}
 
 namespace pqtls::loadgen {
 
@@ -76,8 +80,9 @@ struct LoadConfig {
 
   /// Network between the client population and the server: one-way delay
   /// and a shared serialization rate per direction (certificate-chain bytes
-  /// queue behind each other on the server egress). Loss drops a flight
-  /// with no retransmission — the connection surfaces as a timeout.
+  /// queue behind each other on the server egress; SYNs serialize on a
+  /// pipe of their own, see DESIGN.md §6f). Loss drops a flight with no
+  /// retransmission — the connection surfaces as a timeout.
   net::NetemConfig netem{.loss = 0, .delay_s = 0.005, .rate_bps = 0};
 
   /// Per-connection server-side harness/accept overhead, charged to a core
@@ -110,13 +115,12 @@ struct LoadConfig {
   /// server flight, modeling a server that runs same-key encapsulations in
   /// batches of this size (kem::Kem::encapsulate_batch). 1 (the default)
   /// charges the unbatched cost exactly — bit-identical profiles. Purely a
-  /// cost-model knob; it does not engage the fleet engine.
+  /// cost-model knob.
   int batch = 1;
 
-  // ---- fleet extensions (DESIGN.md §6f) ----
-  // Any non-default value below routes run_load() to the fleet engine
-  // (see is_fleet()); the defaults keep the classic single-server engine
-  // and its byte-identical golden rows.
+  // ---- fleet (DESIGN.md §6f) ----
+  // The defaults describe one server fed by one client population; the
+  // knobs below scale it out.
 
   /// Number of servers behind the balancer, each with `cores` cores and
   /// its own `backlog` accept queue.
@@ -138,8 +142,8 @@ struct LoadConfig {
   /// report slo_ms and a within_slo verdict against it.
   double slo_s = 0.05;
 
-  /// True when any fleet-only feature is engaged; run_load() then uses the
-  /// sharded fleet engine instead of the classic single-server engine.
+  /// Row-schema selector for the campaign sinks: true when any fleet knob
+  /// differs from its default, so the row carries the fleet columns.
   bool is_fleet() const {
     return servers > 1 || balancer != BalancerKind::kRoundRobin ||
            shards > 1 || churn_rate > 0 || !client_classes.empty();
@@ -150,6 +154,11 @@ struct LoadConfig {
 /// testbed handshake (real tls::Connection over simulated TCP), CPU step
 /// costs mirrored from the perf::CostModel charges at the same sites.
 struct HandshakeProfile {
+  /// Uplink wire budget attributed to the client Finished flight (sealed
+  /// Finished record plus its ACK frames); the rest of `client_bytes`
+  /// travels with the SYN and the ClientHello flight.
+  static constexpr std::size_t kFinishedWire = 200;
+
   // Client-side costs are latency-only (clients are not the contended
   // resource); server-side costs occupy a core.
   double client_hello_cpu = 0;   // key-share generation + CH assembly
@@ -209,20 +218,25 @@ struct LoadMetrics {
   std::size_t client_bytes = 0;    // per handshake, from the profile
   std::size_t server_bytes = 0;
 
-  // ---- fleet extensions (zero under the classic single-server engine,
-  // except sim_events, which both engines report) ----
+  // ---- fleet ----
   long long sim_events = 0;     // discrete events the simulation processed
-  double min_server_util = 0;   // least/most utilized server in the fleet
+  // Least/most utilized server; both equal core_utilization for one server.
+  double min_server_util = 0;
   double max_server_util = 0;
   long long churn_arrived = 0;  // churn clients that joined in the window
-  long long churn_departed = 0;
+  long long churn_departed = 0;  // (both zero without churn)
 };
 
 /// Simulate one load configuration to completion and report metrics.
-/// Deterministic: depends only on the config (including seeds). Dispatches
-/// to the fleet engine when config.is_fleet(); the default config class
-/// runs the classic single-server engine unchanged, so existing golden
-/// rows are byte-identical by construction.
-LoadMetrics run_load(const LoadConfig& config);
+/// Deterministic: depends only on the config (including seeds), never on
+/// the shard count. When `recorder` is non-null, every `trace_every`-th
+/// connection's path through the fleet is recorded (cat "fleet": balancer
+/// decision, SYN arrival, queue handoff, core completion) —
+/// Perfetto-loadable via trace::Recorder::write_chrome_trace. Tracing
+/// forces a single shard (the recorder is not thread-safe); by the sharded
+/// loop's determinism contract the metrics are unchanged.
+LoadMetrics run_load(const LoadConfig& config,
+                     trace::Recorder* recorder = nullptr,
+                     std::uint32_t trace_every = 1000);
 
 }  // namespace pqtls::loadgen

@@ -1,7 +1,7 @@
 // Reusable discrete-event core: a binary min-heap of (time, key, payload)
 // entries over a contiguous vector. Ordering is strictly (time, then key) —
-// callers encode their tie-break discipline in the 64-bit key (the classic
-// EventLoop uses a global FIFO sequence; the ShardedEventLoop packs an
+// callers encode their tie-break discipline in the 64-bit key (the
+// std::function EventLoop uses a global FIFO sequence; the ShardedEventLoop packs an
 // (actor, per-actor sequence) pair so simultaneous events order the same
 // way at every shard count). The payload is generic: EventLoop stores a
 // std::function, the sharded loop a trivially-copyable pooled event, which

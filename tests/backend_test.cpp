@@ -550,9 +550,12 @@ TEST(BatchOps, LoadgenBatchRaisesCapacity) {
   loadgen::LoadMetrics batched = loadgen::run_load(config);
   ASSERT_TRUE(batched.ok);
   // Amortized encaps shrinks the server flight, so the analytic capacity
-  // bound strictly rises; batch is a pure cost-model knob, so the engine
-  // still ran the classic single-server path.
+  // bound strictly rises; batch is a pure cost-model knob, so the wire
+  // volumes are untouched and the row keeps the single-server schema.
   EXPECT_GT(batched.analytic_capacity, base.analytic_capacity);
+  EXPECT_LT(batched.server_cpu_s, base.server_cpu_s);
+  EXPECT_EQ(batched.client_bytes, base.client_bytes);
+  EXPECT_EQ(batched.server_bytes, base.server_bytes);
   EXPECT_FALSE(config.is_fleet());
 }
 

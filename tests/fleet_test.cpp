@@ -1,6 +1,6 @@
-// Fleet engine (DESIGN.md §6f): balancer seam, shard-count invariance,
-// reduction to the classic single-server engine, NaN-safe percentiles,
-// trace hooks, and the `fleet` campaign's golden rows.
+// Multi-server load generation (DESIGN.md §6f): balancer seam, shard-count
+// invariance, NaN-safe percentiles, trace hooks, and the `fleet` campaign's
+// golden rows. The servers=1 rows are locked in loadgen_test.cpp.
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -14,7 +14,6 @@
 #include "campaign/sinks.hpp"
 #include "crypto/drbg.hpp"
 #include "loadgen/balancer.hpp"
-#include "loadgen/fleet.hpp"
 #include "loadgen/loadgen.hpp"
 #include "trace/trace.hpp"
 
@@ -96,9 +95,9 @@ loadgen::LoadConfig heterogeneous_config(loadgen::BalancerKind kind) {
 }
 
 TEST(FleetBalancer, LoadAwarePoliciesBeatRoundRobinOnHeterogeneousLoad) {
-  auto rr = run_fleet(heterogeneous_config(loadgen::BalancerKind::kRoundRobin));
-  auto ll = run_fleet(heterogeneous_config(loadgen::BalancerKind::kLeastLoaded));
-  auto p2c = run_fleet(heterogeneous_config(loadgen::BalancerKind::kPowerOfTwo));
+  auto rr = run_load(heterogeneous_config(loadgen::BalancerKind::kRoundRobin));
+  auto ll = run_load(heterogeneous_config(loadgen::BalancerKind::kLeastLoaded));
+  auto p2c = run_load(heterogeneous_config(loadgen::BalancerKind::kPowerOfTwo));
   ASSERT_TRUE(rr.ok);
   ASSERT_TRUE(ll.ok);
   ASSERT_TRUE(p2c.ok);
@@ -147,9 +146,9 @@ TEST(FleetShardInvariance, ByteIdenticalJsonlAt1And4Shards) {
   };
 
   config.shards = 1;
-  auto serial = run_fleet(config);
+  auto serial = run_load(config);
   config.shards = 4;
-  auto sharded = run_fleet(config);
+  auto sharded = run_load(config);
   ASSERT_TRUE(serial.ok);
   // Render both through the sink with the same config so the row differs
   // only where the simulation does — nowhere.
@@ -158,50 +157,9 @@ TEST(FleetShardInvariance, ByteIdenticalJsonlAt1And4Shards) {
 }
 
 // ---------------------------------------------------------------------------
-// Reduction: servers=1 + round-robin + 1 shard through the fleet engine is
-// the classic single-server model — same row, byte for byte.
-
-TEST(FleetReduction, SingleServerRoundRobinMatchesClassicEngine) {
-  loadgen::LoadConfig config;
-  config.ka = "kyber512";
-  config.sa = "dilithium2";
-  config.cores = 2;
-  config.offered_rate = 800;
-  config.duration_s = 2.0;
-  config.warmup_s = 0.25;
-  ASSERT_FALSE(config.is_fleet());
-
-  auto classic = loadgen::run_load(config);  // dispatches to the classic engine
-  auto fleet = loadgen::run_fleet(config);
-  ASSERT_TRUE(classic.ok);
-  EXPECT_EQ(jsonl_row(config, classic), jsonl_row(config, fleet));
-  EXPECT_EQ(classic.arrivals, fleet.arrivals);
-  EXPECT_EQ(classic.completed, fleet.completed);
-  EXPECT_EQ(classic.dropped, fleet.dropped);
-  EXPECT_EQ(classic.timed_out, fleet.timed_out);
-}
-
-TEST(FleetReduction, ClosedLoopAlsoReduces) {
-  loadgen::LoadConfig config;
-  config.ka = "x25519";
-  config.sa = "rsa:2048";
-  config.arrival = loadgen::Arrival::kClosed;
-  config.clients = 32;
-  config.cores = 2;
-  config.duration_s = 2.0;
-  config.warmup_s = 0.25;
-  config.resumption_ratio = 0.5;
-
-  auto classic = loadgen::run_load(config);
-  auto fleet = loadgen::run_fleet(config);
-  ASSERT_TRUE(classic.ok);
-  EXPECT_EQ(jsonl_row(config, classic), jsonl_row(config, fleet));
-}
-
-// ---------------------------------------------------------------------------
-// NaN-safe percentiles (both engines): a window with zero completions has
-// no percentiles — NaN in the metrics, "null" in JSONL, "nan" in CSV, and
-// never a fake 0.0 latency.
+// NaN-safe percentiles: a window with zero completions has no percentiles —
+// NaN in the metrics, "null" in JSONL, "nan" in CSV, and never a fake 0.0
+// latency.
 
 TEST(FleetMetrics, ZeroCompletionWindowsRenderNullNotZero) {
   loadgen::LoadConfig config;
@@ -209,38 +167,35 @@ TEST(FleetMetrics, ZeroCompletionWindowsRenderNullNotZero) {
   config.duration_s = 0.5;
   config.warmup_s = 0.1;
 
-  for (bool fleet : {false, true}) {
-    SCOPED_TRACE(fleet ? "fleet engine" : "classic engine");
-    auto m = fleet ? loadgen::run_fleet(config) : loadgen::run_load(config);
-    EXPECT_FALSE(m.ok);
-    EXPECT_TRUE(std::isnan(m.p50));
-    EXPECT_TRUE(std::isnan(m.p90));
-    EXPECT_TRUE(std::isnan(m.p99));
-    EXPECT_TRUE(std::isnan(m.p999));
-    EXPECT_TRUE(std::isnan(m.mean_latency));
+  auto m = loadgen::run_load(config);
+  EXPECT_FALSE(m.ok);
+  EXPECT_TRUE(std::isnan(m.p50));
+  EXPECT_TRUE(std::isnan(m.p90));
+  EXPECT_TRUE(std::isnan(m.p99));
+  EXPECT_TRUE(std::isnan(m.p999));
+  EXPECT_TRUE(std::isnan(m.mean_latency));
 
-    std::string row = jsonl_row(config, m);
-    EXPECT_NE(row.find("\"p50_ms\":null"), std::string::npos) << row;
-    EXPECT_NE(row.find("\"p999_ms\":null"), std::string::npos) << row;
+  std::string row = jsonl_row(config, m);
+  EXPECT_NE(row.find("\"p50_ms\":null"), std::string::npos) << row;
+  EXPECT_NE(row.find("\"p999_ms\":null"), std::string::npos) << row;
 
-    campaign::CellOutcome o;
-    o.campaign = "fleet-test";
-    o.cell.id = "cell";
-    o.cell.loadgen = config;
-    o.load = m;
-    o.error = "no handshake completed in the window";
-    std::ostringstream csv_out;
-    campaign::CsvSink csv(csv_out);
-    campaign::CampaignSpec spec;
-    spec.name = "fleet-test";
-    campaign::Cell cell;
-    cell.loadgen = config;
-    spec.cells.push_back(cell);
-    csv.begin(spec, campaign::RunnerOptions{});
-    csv.cell(o);
-    csv.finish();
-    EXPECT_NE(csv_out.str().find(",nan,"), std::string::npos) << csv_out.str();
-  }
+  campaign::CellOutcome o;
+  o.campaign = "fleet-test";
+  o.cell.id = "cell";
+  o.cell.loadgen = config;
+  o.load = m;
+  o.error = "no handshake completed in the window";
+  std::ostringstream csv_out;
+  campaign::CsvSink csv(csv_out);
+  campaign::CampaignSpec spec;
+  spec.name = "fleet-test";
+  campaign::Cell cell;
+  cell.loadgen = config;
+  spec.cells.push_back(cell);
+  csv.begin(spec, campaign::RunnerOptions{});
+  csv.cell(o);
+  csv.finish();
+  EXPECT_NE(csv_out.str().find(",nan,"), std::string::npos) << csv_out.str();
 }
 
 // ---------------------------------------------------------------------------
@@ -258,7 +213,7 @@ TEST(FleetTrace, SampledConnectionsRecordFleetEvents) {
   config.warmup_s = 0.1;
 
   trace::Recorder recorder;
-  auto m = loadgen::run_fleet(config, &recorder, /*trace_every=*/100);
+  auto m = loadgen::run_load(config, &recorder, /*trace_every=*/100);
   ASSERT_TRUE(m.ok);
   EXPECT_GT(recorder.count("fleet", "balancer_decision"), 0u);
   EXPECT_GT(recorder.count("fleet", "syn_arrive"), 0u);
@@ -274,7 +229,7 @@ TEST(FleetTrace, SampledConnectionsRecordFleetEvents) {
 
   // Tracing is observation only: an untraced run of the same config is
   // metric-identical (the recorder pins shards to 1 internally).
-  auto untraced = loadgen::run_fleet(config);
+  auto untraced = loadgen::run_load(config);
   EXPECT_EQ(jsonl_row(config, m), jsonl_row(config, untraced));
 }
 

@@ -28,7 +28,7 @@
 #include "campaign/sinks.hpp"
 #include "crypto/backend/backend.hpp"
 #include "crypto/catalog.hpp"
-#include "loadgen/fleet.hpp"
+#include "loadgen/loadgen.hpp"
 #include "loadgen/sweep.hpp"
 #include "testbed/testbed.hpp"
 #include "trace/trace.hpp"
@@ -65,7 +65,7 @@ int usage(const char* argv0) {
       "  --delay-ms D          one-way network delay (default 5)\n"
       "  --rate-mbps M         per-direction link rate (default line rate)\n"
       "\n"
-      "fleet (any of these switches to the sharded multi-server engine):\n"
+      "fleet:\n"
       "  --servers M           servers behind the balancer (default 1)\n"
       "  --balancer NAME       round_robin|least_loaded|power_of_two\n"
       "                        (short: rr|ll|p2c; default round_robin)\n"
@@ -77,7 +77,7 @@ int usage(const char* argv0) {
       "                        optional weights, e.g. 'no-emulation:0.6,\n"
       "                        lte-m:0.2,5g:0.2'\n"
       "  --trace PATH          Chrome/Perfetto trace of sampled connections\n"
-      "                        through the fleet (forces --shards 1)\n"
+      "                        through the servers (forces --shards 1)\n"
       "  --trace-every N       sample every Nth connection (default 1000)\n"
       "\n"
       "measurement:\n"
@@ -372,16 +372,10 @@ int main(int argc, char** argv) {
 
   try {
     if (!sweep) {
-      // --trace implies the fleet engine: only it threads a recorder
-      // through sampled connections.
-      bool fleet = config.is_fleet() || !trace_path.empty();
       trace::Recorder recorder;
       auto wall0 = std::chrono::steady_clock::now();
-      loadgen::LoadMetrics m =
-          fleet ? loadgen::run_fleet(
-                      config, trace_path.empty() ? nullptr : &recorder,
-                      trace_every)
-                : loadgen::run_load(config);
+      loadgen::LoadMetrics m = loadgen::run_load(
+          config, trace_path.empty() ? nullptr : &recorder, trace_every);
       double wall_s = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - wall0)
                           .count();
@@ -401,27 +395,24 @@ int main(int argc, char** argv) {
                   m.p50 * 1e3, m.p90 * 1e3, m.p99 * 1e3, m.p999 * 1e3);
       std::printf("  queue     depth %6.2f      core utilization %5.1f%%\n",
                   m.mean_queue_depth, m.core_utilization * 100);
-      if (fleet) {
-        std::printf("  fleet     %d server%s x %d cores   balancer %s   "
-                    "shards %u   classes %zu\n",
-                    config.servers, config.servers == 1 ? "" : "s",
-                    config.cores,
-                    loadgen::balancer_name(config.balancer),
-                    config.shards,
-                    config.client_classes.empty()
-                        ? std::size_t{1}
-                        : config.client_classes.size());
-        std::printf("  servers   util min %5.1f%% max %5.1f%%   churn "
-                    "+%lld/-%lld\n",
-                    m.min_server_util * 100, m.max_server_util * 100,
-                    m.churn_arrived, m.churn_departed);
-        std::printf("  engine    %lld events   %.3g events/s   wall %.2f s"
-                    "   peak RSS %.1f MB\n",
-                    m.sim_events,
-                    wall_s > 0 ? static_cast<double>(m.sim_events) / wall_s
-                               : 0.0,
-                    wall_s, peak_rss_mb());
-      }
+      std::printf("  fleet     %d server%s x %d cores   balancer %s   "
+                  "shards %u   classes %zu\n",
+                  config.servers, config.servers == 1 ? "" : "s",
+                  config.cores, loadgen::balancer_name(config.balancer),
+                  config.shards,
+                  config.client_classes.empty()
+                      ? std::size_t{1}
+                      : config.client_classes.size());
+      std::printf("  servers   util min %5.1f%% max %5.1f%%   churn "
+                  "+%lld/-%lld\n",
+                  m.min_server_util * 100, m.max_server_util * 100,
+                  m.churn_arrived, m.churn_departed);
+      std::printf("  engine    %lld events   %.3g events/s   wall %.2f s"
+                  "   peak RSS %.1f MB\n",
+                  m.sim_events,
+                  wall_s > 0 ? static_cast<double>(m.sim_events) / wall_s
+                             : 0.0,
+                  wall_s, peak_rss_mb());
       if (!trace_path.empty()) {
         std::ofstream trace_file(trace_path);
         if (!trace_file) {
