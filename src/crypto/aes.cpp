@@ -297,6 +297,7 @@ Bytes AesGcm::seal(BytesView nonce12, BytesView aad, BytesView plaintext) const 
 
 std::optional<Bytes> AesGcm::open(BytesView nonce12, BytesView aad,
                                   BytesView ciphertext_and_tag) const {
+  if (nonce12.size() != 12) throw std::invalid_argument("GCM nonce must be 12 bytes");
   if (ciphertext_and_tag.size() < kTagSize) return std::nullopt;
   BytesView ciphertext = ciphertext_and_tag.first(ciphertext_and_tag.size() - kTagSize);
   BytesView tag = ciphertext_and_tag.last(kTagSize);

@@ -65,7 +65,8 @@ class AesGcm {
 
   explicit AesGcm(BytesView key);
 
-  /// Returns ciphertext || 16-byte tag.
+  /// Returns ciphertext || 16-byte tag. seal and open both throw
+  /// std::invalid_argument unless the nonce is 12 bytes.
   Bytes seal(BytesView nonce12, BytesView aad, BytesView plaintext) const;
   /// Returns plaintext, or nullopt if authentication fails.
   std::optional<Bytes> open(BytesView nonce12, BytesView aad,

@@ -5,6 +5,8 @@
 // conditional subtract back to canonical after every step, making the
 // results bit-identical to the portable %-based kernels. Twiddles are
 // premultiplied by R at static init from the same 1753^bitrev8(i) table.
+// Every layer is vectorized: the len >= 8 layers pair whole vectors, and
+// the len 4/2/1 layers pair lanes inside one vector (see Tail below).
 #include <cstdint>
 
 #include "crypto/backend/kernels.hpp"
@@ -21,7 +23,6 @@ constexpr std::int32_t kQ = 8380417;
 constexpr std::int64_t kInv256 = 8347681;  // 256^{-1} mod q
 
 struct Tables {
-  std::int32_t zeta[256];    // plain twiddles (scalar tail layers)
   std::int64_t zeta_m[256];  // zeta * 2^32 mod q (Montgomery form)
   std::uint32_t nqinv;       // -q^{-1} mod 2^32
   std::int64_t r2;           // 2^64 mod q
@@ -37,7 +38,6 @@ struct Tables {
       int e = bitrev8(i);
       std::int64_t v = 1;
       for (int j = 0; j < e; ++j) v = (v * 1753) % kQ;
-      zeta[i] = static_cast<std::int32_t>(v);
       zeta_m[i] = (v << 32) % kQ;
     }
     // Newton iteration for q^{-1} mod 2^32 (q odd), then negate.
@@ -51,19 +51,6 @@ struct Tables {
   }
 };
 const Tables kT;
-
-// Scalar helpers for the short len<=4 layers (identical to portable).
-std::int32_t fqmul_s(std::int64_t a, std::int64_t b) {
-  std::int64_t p = (a * b) % kQ;
-  if (p < 0) p += kQ;
-  return static_cast<std::int32_t>(p);
-}
-
-std::int32_t freduce_s(std::int64_t a) {
-  a %= kQ;
-  if (a < 0) a += kQ;
-  return static_cast<std::int32_t>(a);
-}
 
 inline __m256i q32() { return _mm256_set1_epi32(kQ); }
 inline __m256i q64() { return _mm256_set1_epi64x(kQ); }
@@ -108,6 +95,82 @@ inline __m256i mmul8(__m256i v, __m256i zm) {
               mredc64(_mm256_mul_epu32(od, zm)));
 }
 
+// The len 4/2/1 layers butterfly lane pairs (top, top + D) inside one
+// 8-lane vector. tops/bottoms gather the four top/bottom lanes into the low
+// halves of the 64-bit lanes (pair order; _mm256_mul_epu32 ignores the high
+// halves), and spread puts the four pair results back on both lanes of each
+// pair, so a blend picks the top or bottom result per lane. One mredc64
+// per vector per layer, as in the wide layers.
+template <int D>
+struct Tail;
+
+template <>
+struct Tail<4> {
+  static constexpr int kBottom = 0xF0;
+  static __m256i tops(__m256i v) {
+    return _mm256_cvtepu32_epi64(_mm256_castsi256_si128(v));
+  }
+  static __m256i bottoms(__m256i v) {
+    return _mm256_cvtepu32_epi64(_mm256_extracti128_si256(v, 1));
+  }
+  static __m256i spread(__m256i t) {
+    return _mm256_permutevar8x32_epi32(
+        t, _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6));
+  }
+};
+
+template <>
+struct Tail<2> {
+  static constexpr int kBottom = 0xCC;
+  static __m256i tops(__m256i v) {
+    return _mm256_shuffle_epi32(v, _MM_SHUFFLE(1, 1, 0, 0));
+  }
+  static __m256i bottoms(__m256i v) {
+    return _mm256_shuffle_epi32(v, _MM_SHUFFLE(3, 3, 2, 2));
+  }
+  static __m256i spread(__m256i t) {
+    return _mm256_shuffle_epi32(t, _MM_SHUFFLE(2, 0, 2, 0));
+  }
+};
+
+template <>
+struct Tail<1> {
+  static constexpr int kBottom = 0xAA;
+  static __m256i tops(__m256i v) { return v; }
+  static __m256i bottoms(__m256i v) { return _mm256_srli_epi64(v, 32); }
+  static __m256i spread(__m256i t) {
+    return _mm256_shuffle_epi32(t, _MM_SHUFFLE(2, 2, 0, 0));
+  }
+};
+
+// Cooley-Tukey: top = a + zeta*b, bottom = a - zeta*b. zm holds the four
+// pairs' Montgomery twiddles in pair order.
+template <int D>
+inline __m256i fwd_tail(__m256i v, __m256i zm) {
+  __m256i a = Tail<D>::tops(v);
+  __m256i t = mredc64(_mm256_mul_epu32(Tail<D>::bottoms(v), zm));
+  __m256i sum = csub32(_mm256_add_epi32(a, t));
+  __m256i diff = csub32(_mm256_add_epi32(_mm256_sub_epi32(a, t), q32()));
+  return _mm256_blend_epi32(Tail<D>::spread(sum), Tail<D>::spread(diff),
+                            Tail<D>::kBottom);
+}
+
+// Gentleman-Sande: top = a + b, bottom = zeta*(b - a).
+template <int D>
+inline __m256i inv_tail(__m256i v, __m256i zm) {
+  __m256i a = Tail<D>::tops(v);
+  __m256i b = Tail<D>::bottoms(v);
+  __m256i sum = csub32(_mm256_add_epi32(a, b));
+  __m256i d = csub32(_mm256_add_epi32(_mm256_sub_epi32(b, a), q32()));
+  __m256i t = mredc64(_mm256_mul_epu32(d, zm));
+  return _mm256_blend_epi32(Tail<D>::spread(sum), Tail<D>::spread(t),
+                            Tail<D>::kBottom);
+}
+
+inline __m256i load_zm4(int i) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(kT.zeta_m + i));
+}
+
 void ntt(std::int32_t* r) {
   int k = 0;
   for (int len = 128; len >= 8; len >>= 1) {
@@ -127,31 +190,33 @@ void ntt(std::int32_t* r) {
       }
     }
   }
-  for (int len = 4; len >= 1; len >>= 1) {
-    for (int start = 0; start < kN; start += 2 * len) {
-      std::int32_t zeta = kT.zeta[++k];
-      for (int j = start; j < start + len; ++j) {
-        std::int32_t t = fqmul_s(zeta, r[j + len]);
-        r[j + len] = freduce_s(static_cast<std::int64_t>(r[j]) - t);
-        r[j] = freduce_s(static_cast<std::int64_t>(r[j]) + t);
-      }
-    }
+  // Block b (coefficients 8b..8b+7) takes twiddle 32+b at len 4, 64+2b and
+  // 65+2b at len 2, and 128+4b..131+4b at len 1.
+  for (int b = 0; b < kN / 8; ++b) {
+    auto* p = reinterpret_cast<__m256i*>(r + 8 * b);
+    __m256i v = _mm256_loadu_si256(p);
+    v = fwd_tail<4>(v, _mm256_set1_epi64x(kT.zeta_m[32 + b]));
+    v = fwd_tail<2>(v, _mm256_permute4x64_epi64(load_zm4(64 + 2 * b),
+                                                _MM_SHUFFLE(1, 1, 0, 0)));
+    v = fwd_tail<1>(v, load_zm4(128 + 4 * b));
+    _mm256_storeu_si256(p, v);
   }
 }
 
 void invntt(std::int32_t* r) {
-  int k = 256;
-  for (int len = 1; len <= 4; len <<= 1) {
-    for (int start = 0; start < kN; start += 2 * len) {
-      std::int32_t zeta = kT.zeta[--k];
-      for (int j = start; j < start + len; ++j) {
-        std::int32_t t = r[j];
-        r[j] = freduce_s(static_cast<std::int64_t>(t) + r[j + len]);
-        r[j + len] = fqmul_s(
-            zeta, freduce_s(static_cast<std::int64_t>(r[j + len]) - t));
-      }
-    }
+  // The forward tail's twiddles, walked backwards: block b takes
+  // 255-4b..252-4b at len 1, 127-2b and 126-2b at len 2, 63-b at len 4.
+  for (int b = 0; b < kN / 8; ++b) {
+    auto* p = reinterpret_cast<__m256i*>(r + 8 * b);
+    __m256i v = _mm256_loadu_si256(p);
+    v = inv_tail<1>(v, _mm256_permute4x64_epi64(load_zm4(252 - 4 * b),
+                                                _MM_SHUFFLE(0, 1, 2, 3)));
+    v = inv_tail<2>(v, _mm256_permute4x64_epi64(load_zm4(124 - 2 * b),
+                                                _MM_SHUFFLE(2, 2, 3, 3)));
+    v = inv_tail<4>(v, _mm256_set1_epi64x(kT.zeta_m[63 - b]));
+    _mm256_storeu_si256(p, v);
   }
+  int k = 32;
   for (int len = 8; len <= 128; len <<= 1) {
     for (int start = 0; start < kN; start += 2 * len) {
       __m256i zm = _mm256_set1_epi64x(kT.zeta_m[--k]);

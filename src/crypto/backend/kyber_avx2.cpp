@@ -4,7 +4,9 @@
 // canonical range [0, q) after every step — so outputs are bit-identical
 // to the portable %-based kernels. Twiddles are premultiplied by R (or
 // R^2 for the basemul pair-zetas) at static init from the same
-// 17^bitrev7(i) table the portable kernels build.
+// 17^bitrev7(i) table the portable kernels build. Every layer is
+// vectorized: the len >= 8 layers pair whole vectors, and the len 4/2
+// layers pair lanes inside one vector (see Tail below).
 #include <cstdint>
 
 #include "crypto/backend/kernels.hpp"
@@ -22,7 +24,7 @@ constexpr std::int32_t kNQInv = 3327;  // -q^{-1} mod 2^16 (3329*3327 = -1)
 constexpr std::int32_t kInv128 = 3303;  // 128^{-1} mod q
 
 struct Tables {
-  std::int16_t zeta[128];   // plain twiddles (scalar tail layers)
+  std::int16_t zeta[128];   // plain twiddles (basemul pairs)
   std::int32_t zeta_m[128];  // zeta * 2^16 mod q (Montgomery form)
   // Basemul pair twiddles indexed by coefficient-pair p in 0..127:
   // +zeta_{64+p/2} for even p, q - zeta_{64+p/2} for odd p, each
@@ -59,19 +61,6 @@ struct Tables {
   }
 };
 const Tables kT;
-
-// Scalar helpers for the short len=4/2 layers (identical to portable).
-std::int16_t fqmul_s(std::int32_t a, std::int32_t b) {
-  std::int32_t p = (a * b) % kQ;
-  if (p < 0) p += kQ;
-  return static_cast<std::int16_t>(p);
-}
-
-std::int16_t freduce_s(std::int32_t a) {
-  a %= kQ;
-  if (a < 0) a += kQ;
-  return static_cast<std::int16_t>(a);
-}
 
 inline __m256i q8() { return _mm256_set1_epi32(kQ); }
 
@@ -118,6 +107,62 @@ inline void store8(std::int16_t* p, __m256i v) {
                    _mm256_castsi256_si128(packed));
 }
 
+// The len 4/2 layers butterfly lane pairs (top, top + D) inside one 8-lane
+// vector: tops/bottoms copy each pair's top/bottom coefficient onto both of
+// its lanes, the product runs on all eight lanes with per-lane twiddles,
+// and a blend picks the top or bottom result per lane.
+template <int D>
+struct Tail;
+
+template <>
+struct Tail<4> {
+  static constexpr int kBottom = 0xF0;
+  static __m256i tops(__m256i v) {
+    return _mm256_permute2x128_si256(v, v, 0x00);
+  }
+  static __m256i bottoms(__m256i v) {
+    return _mm256_permute2x128_si256(v, v, 0x11);
+  }
+};
+
+template <>
+struct Tail<2> {
+  static constexpr int kBottom = 0xCC;
+  static __m256i tops(__m256i v) {
+    return _mm256_shuffle_epi32(v, _MM_SHUFFLE(1, 0, 1, 0));
+  }
+  static __m256i bottoms(__m256i v) {
+    return _mm256_shuffle_epi32(v, _MM_SHUFFLE(3, 2, 3, 2));
+  }
+};
+
+// Cooley-Tukey: top = a + zeta*b, bottom = a - zeta*b.
+template <int D>
+inline __m256i fwd_tail(__m256i v, __m256i zm) {
+  __m256i a = Tail<D>::tops(v);
+  __m256i t = mmul(Tail<D>::bottoms(v), zm);
+  return _mm256_blend_epi32(
+      csub(_mm256_add_epi32(a, t)),
+      csub(_mm256_add_epi32(_mm256_sub_epi32(a, t), q8())), Tail<D>::kBottom);
+}
+
+// Gentleman-Sande: top = a + b, bottom = zeta*(b - a).
+template <int D>
+inline __m256i inv_tail(__m256i v, __m256i zm) {
+  __m256i a = Tail<D>::tops(v);
+  __m256i b = Tail<D>::bottoms(v);
+  return _mm256_blend_epi32(
+      csub(_mm256_add_epi32(a, b)),
+      mmul(csub(_mm256_add_epi32(_mm256_sub_epi32(b, a), q8())), zm),
+      Tail<D>::kBottom);
+}
+
+// Twiddle lo on lanes 0-3 and hi on lanes 4-7.
+inline __m256i zm_halves(int lo, int hi) {
+  return _mm256_setr_m128i(_mm_set1_epi32(kT.zeta_m[lo]),
+                           _mm_set1_epi32(kT.zeta_m[hi]));
+}
+
 void ntt(std::int16_t* r) {
   int k = 1;
   for (int len = 128; len >= 8; len >>= 1) {
@@ -133,30 +178,25 @@ void ntt(std::int16_t* r) {
       }
     }
   }
-  for (int len = 4; len >= 2; len >>= 1) {
-    for (int start = 0; start < kN; start += 2 * len) {
-      std::int16_t zeta = kT.zeta[k++];
-      for (int j = start; j < start + len; ++j) {
-        std::int16_t t = fqmul_s(zeta, r[j + len]);
-        r[j + len] = freduce_s(r[j] - t);
-        r[j] = freduce_s(r[j] + t);
-      }
-    }
+  // Block b (coefficients 8b..8b+7) takes twiddle 32+b at len 4, and
+  // 64+2b and 65+2b at len 2.
+  for (int b = 0; b < kN / 8; ++b) {
+    __m256i v = fwd_tail<4>(load8(r + 8 * b),
+                            _mm256_set1_epi32(kT.zeta_m[32 + b]));
+    store8(r + 8 * b, fwd_tail<2>(v, zm_halves(64 + 2 * b, 65 + 2 * b)));
   }
 }
 
 void invntt(std::int16_t* r) {
-  int k = 127;
-  for (int len = 2; len <= 4; len <<= 1) {
-    for (int start = 0; start < kN; start += 2 * len) {
-      std::int16_t zeta = kT.zeta[k--];
-      for (int j = start; j < start + len; ++j) {
-        std::int16_t t = r[j];
-        r[j] = freduce_s(t + r[j + len]);
-        r[j + len] = fqmul_s(zeta, freduce_s(r[j + len] - t + kQ));
-      }
-    }
+  // The forward tail's twiddles, walked backwards: block b takes 127-2b
+  // and 126-2b at len 2, and 63-b at len 4.
+  for (int b = 0; b < kN / 8; ++b) {
+    __m256i v = inv_tail<2>(load8(r + 8 * b),
+                            zm_halves(127 - 2 * b, 126 - 2 * b));
+    store8(r + 8 * b,
+           inv_tail<4>(v, _mm256_set1_epi32(kT.zeta_m[63 - b])));
   }
+  int k = 31;
   for (int len = 8; len <= 128; len <<= 1) {
     for (int start = 0; start < kN; start += 2 * len) {
       __m256i zm = _mm256_set1_epi32(kT.zeta_m[k--]);

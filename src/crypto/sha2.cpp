@@ -1,6 +1,7 @@
 #include "crypto/sha2.hpp"
 
 #include <bit>
+#include <stdexcept>
 
 namespace pqtls::crypto {
 
@@ -250,6 +251,10 @@ Bytes hkdf_extract_sha256(BytesView salt, BytesView ikm) {
 }
 
 Bytes hkdf_expand_sha256(BytesView prk, BytesView info, std::size_t length) {
+  // RFC 5869 2.3: L <= 255 * HashLen; past that the 8-bit block counter
+  // would wrap and repeat output blocks.
+  if (length > 255 * Sha256::kDigestSize)
+    throw std::invalid_argument("HKDF-Expand length exceeds 255 blocks");
   Bytes okm;
   Bytes t;
   std::uint8_t counter = 1;

@@ -71,7 +71,8 @@ Bytes hmac_sha256(BytesView key, BytesView data);
 /// HMAC-SHA384.
 Bytes hmac_sha384(BytesView key, BytesView data);
 
-/// HKDF-Extract / HKDF-Expand with HMAC-SHA256 (RFC 5869).
+/// HKDF-Extract / HKDF-Expand with HMAC-SHA256 (RFC 5869). Expand throws
+/// std::invalid_argument for length > 255 * 32 = 8160 bytes.
 Bytes hkdf_extract_sha256(BytesView salt, BytesView ikm);
 Bytes hkdf_expand_sha256(BytesView prk, BytesView info, std::size_t length);
 

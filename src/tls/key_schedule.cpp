@@ -80,9 +80,9 @@ Bytes KeySchedule::psk_binder(BytesView truncated_client_hello) const {
   Bytes binder_key =  // CT_SECRET: binder_key
       derive_secret(psk_early_secret_, "res binder", empty_hash);
   ct::Wiper binder_guard(binder_key);
-  Bytes context = transcript_snapshot_;
-  append(context, truncated_client_hello);
-  return finished_verify_data(binder_key, crypto::sha256(context));
+  crypto::Sha256 context = transcript_;
+  context.update(truncated_client_hello);
+  return finished_verify_data(binder_key, context.finish());
 }
 
 Bytes KeySchedule::derive_early_traffic_secret() const {
@@ -91,17 +91,16 @@ Bytes KeySchedule::derive_early_traffic_secret() const {
 
 void KeySchedule::update_transcript(BytesView message) {
   transcript_.update(message);
-  append(transcript_snapshot_, message);
 }
 
 Bytes KeySchedule::transcript_hash() const {
-  return crypto::sha256(transcript_snapshot_);
+  crypto::Sha256 copy = transcript_;
+  return copy.finish();
 }
 
 void KeySchedule::convert_to_hrr_transcript() {
-  Bytes hash = crypto::sha256(transcript_snapshot_);
-  transcript_snapshot_.clear();
-  transcript_ .reset();
+  Bytes hash = transcript_hash();
+  transcript_.reset();
   Bytes message_hash = {254, 0, 0, 32};  // HandshakeType message_hash
   append(message_hash, hash);
   update_transcript(message_hash);

@@ -87,8 +87,7 @@ class KeySchedule {
   void wipe_handshake_secrets();
 
  private:
-  crypto::Sha256 transcript_;
-  Bytes transcript_snapshot_;  // running raw transcript (for re-hash)
+  crypto::Sha256 transcript_;  // running hash; finished on a copy
   Bytes handshake_secret_;     // CT_SECRET
   Bytes master_secret_;        // CT_SECRET
   Bytes client_hs_, server_hs_;    // CT_SECRET: client_hs_, server_hs_

@@ -10,8 +10,10 @@
 //  - the batched cost model amortizes monotonically with batch=1 exact,
 //  - the loadgen_batch campaign's golden rows,
 //  - power-of-two balancer probes are sampled without replacement.
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -98,8 +100,47 @@ TEST(BackendDispatch, ActiveNameReflectsAvailability) {
 }
 
 // ---------------------------------------------------------------------------
-// Raw kernel equivalence on random canonical inputs. The optimized kernels
-// must be drop-in bit-identical, not merely congruent mod q.
+// Raw kernel equivalence on random and structured canonical inputs. The
+// optimized kernels must be drop-in bit-identical, not merely congruent
+// mod q.
+
+// ntt and invntt, each applied to its own copy of `poly`, give the same
+// bytes under both kernel sets.
+template <typename Kernels, typename Coeff>
+void expect_ntts_match(const Kernels& ref, const Kernels& opt,
+                       const Coeff (&poly)[256], const std::string& what) {
+  Coeff x0[256], x1[256];
+  std::memcpy(x0, poly, sizeof x0);
+  std::memcpy(x1, poly, sizeof x1);
+  ref.ntt(x0);
+  opt.ntt(x1);
+  EXPECT_EQ(std::memcmp(x0, x1, sizeof x0), 0) << "ntt " << what;
+  std::memcpy(x0, poly, sizeof x0);
+  std::memcpy(x1, poly, sizeof x1);
+  ref.invntt(x0);
+  opt.invntt(x1);
+  EXPECT_EQ(std::memcmp(x0, x1, sizeof x0), 0) << "invntt " << what;
+}
+
+// All-zero, all-(q-1), a ramp over [0, q-1], and a one-hot polynomial at
+// every index, which drives each lane and blend position of the
+// in-register layers on its own.
+template <typename Kernels, typename Coeff>
+void expect_structured_ntts_match(const Kernels& ref, const Kernels& opt,
+                                  std::int64_t q) {
+  Coeff poly[256];
+  std::fill(std::begin(poly), std::end(poly), Coeff{0});
+  expect_ntts_match(ref, opt, poly, "zero");
+  std::fill(std::begin(poly), std::end(poly), static_cast<Coeff>(q - 1));
+  expect_ntts_match(ref, opt, poly, "all q-1");
+  for (int i = 0; i < 256; ++i) poly[i] = static_cast<Coeff>(i * (q - 1) / 255);
+  expect_ntts_match(ref, opt, poly, "ramp");
+  for (int hot = 0; hot < 256; ++hot) {
+    std::fill(std::begin(poly), std::end(poly), Coeff{0});
+    poly[hot] = 1;
+    expect_ntts_match(ref, opt, poly, "one-hot " + std::to_string(hot));
+  }
+}
 
 TEST(BackendKernels, KyberAvx2MatchesPortable) {
   const backend::KyberKernels* opt = backend::detail::kyber_avx2();
@@ -123,10 +164,15 @@ TEST(BackendKernels, KyberAvx2MatchesPortable) {
     opt->invntt(x1);
     EXPECT_EQ(std::memcmp(x0, x1, sizeof x0), 0) << "invntt trial " << trial;
 
+    expect_ntts_match(backend::detail::kKyberPortable, *opt, b,
+                      "random trial " + std::to_string(trial));
+
     backend::detail::kKyberPortable.basemul_acc(r0, a, b, trial % 2 == 0);
     opt->basemul_acc(r1, a, b, trial % 2 == 0);
     EXPECT_EQ(std::memcmp(r0, r1, sizeof r0), 0) << "basemul trial " << trial;
   }
+  expect_structured_ntts_match<backend::KyberKernels, std::int16_t>(
+      backend::detail::kKyberPortable, *opt, 3329);
 }
 
 TEST(BackendKernels, DilithiumAvx2MatchesPortable) {
@@ -151,11 +197,16 @@ TEST(BackendKernels, DilithiumAvx2MatchesPortable) {
     opt->invntt(x1);
     EXPECT_EQ(std::memcmp(x0, x1, sizeof x0), 0) << "invntt trial " << trial;
 
+    expect_ntts_match(backend::detail::kDilithiumPortable, *opt, b,
+                      "random trial " + std::to_string(trial));
+
     backend::detail::kDilithiumPortable.pointwise_acc(r0, a, b);
     opt->pointwise_acc(r1, a, b);
     EXPECT_EQ(std::memcmp(r0, r1, sizeof r0), 0)
         << "pointwise trial " << trial;
   }
+  expect_structured_ntts_match<backend::DilithiumKernels, std::int32_t>(
+      backend::detail::kDilithiumPortable, *opt, 8380417);
 }
 
 TEST(BackendKernels, HarakaAesniMatchesPortable) {

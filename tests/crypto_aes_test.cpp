@@ -1,4 +1,6 @@
 // AES / CTR / GCM known-answer tests (FIPS 197 appendix, NIST GCM vectors).
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "crypto/aes.hpp"
@@ -114,6 +116,19 @@ TEST(AesGcm, RoundTripAndTamperDetection) {
   Bytes wrong_aad = from_hex("00fe");
   EXPECT_FALSE(gcm.open(nonce, wrong_aad, sealed).has_value());
   EXPECT_FALSE(gcm.open(nonce, aad, Bytes(8, 0)).has_value());
+}
+
+// A nonce of any length but 12 is a caller bug, not an authentication
+// failure: both directions throw instead of reading past the span.
+TEST(AesGcm, WrongNonceLengthThrows) {
+  AesGcm gcm(Bytes(16, 7));
+  Bytes sealed = gcm.seal(Bytes(12, 1), {}, Bytes(20, 2));
+  for (std::size_t len : {11u, 13u}) {
+    Bytes nonce(len, 1);
+    EXPECT_THROW(gcm.seal(nonce, {}, Bytes(20, 2)), std::invalid_argument)
+        << len;
+    EXPECT_THROW(gcm.open(nonce, {}, sealed), std::invalid_argument) << len;
+  }
 }
 
 }  // namespace

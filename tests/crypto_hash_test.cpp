@@ -3,6 +3,7 @@
 // permutation against a reference oracle and sponge split-point checks.
 #include <bit>
 #include <cstring>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -288,6 +289,17 @@ TEST(Hkdf, Rfc5869Case1) {
   EXPECT_EQ(to_hex(okm),
             "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf"
             "34007208d5b887185865");
+}
+
+// RFC 5869 2.3 caps L at 255 * HashLen; one byte more would wrap the 8-bit
+// block counter and repeat T(1).
+TEST(Hkdf, ExpandLengthCapIs255Blocks) {
+  Bytes prk(32, 0x42);
+  Bytes okm = hkdf_expand_sha256(prk, {}, 8160);
+  ASSERT_EQ(okm.size(), 8160u);
+  EXPECT_EQ(Bytes(okm.begin(), okm.begin() + 42),
+            hkdf_expand_sha256(prk, {}, 42));
+  EXPECT_THROW(hkdf_expand_sha256(prk, {}, 8161), std::invalid_argument);
 }
 
 }  // namespace

@@ -291,5 +291,66 @@ TEST(KeyScheduleVectors, HrrTranscriptSurgery) {
   EXPECT_EQ(ks1.transcript_hash(), ks2.transcript_hash());
 }
 
+// The schedule keeps only a running hash; the test keeps the concatenated
+// transcript itself as the independent reference. The sizes straddle the
+// 64-byte SHA-256 block boundary.
+TEST(KeyScheduleVectors, TranscriptHashMatchesConcatenation) {
+  KeySchedule ks;
+  Bytes all;
+  EXPECT_EQ(ks.transcript_hash(), crypto::sha256({}));
+  std::uint8_t fill = 1;
+  for (std::size_t len : {0u, 1u, 63u, 64u, 65u, 4000u}) {
+    Bytes message(len);
+    for (auto& b : message) b = fill++;
+    ks.update_transcript(message);
+    append(all, message);
+    Bytes first = ks.transcript_hash();
+    EXPECT_EQ(first, crypto::sha256(all)) << "after " << len << " bytes";
+    EXPECT_EQ(ks.transcript_hash(), first) << "repeat after " << len;
+  }
+}
+
+// binder = HMAC(finished key of Derive-Secret(Extract(0, psk), "res binder",
+// H("")), H(prior transcript || truncated ClientHello)), built here from the
+// RFC-vector-checked primitives rather than from psk_binder() itself.
+Bytes reference_binder(BytesView psk, BytesView prior, BytesView truncated) {
+  Bytes binder_key = derive_secret(crypto::hkdf_extract_sha256({}, psk),
+                                   "res binder", crypto::sha256({}));
+  Bytes finished_key = hkdf_expand_label(binder_key, "finished", {}, 32);
+  Bytes context(prior.begin(), prior.end());
+  append(context, truncated);
+  return crypto::hmac_sha256(finished_key, crypto::sha256(context));
+}
+
+TEST(KeyScheduleVectors, PskBinderCoversTranscript) {
+  Bytes psk(32, 0x5A);
+  Bytes truncated(300);
+  for (std::size_t i = 0; i < truncated.size(); ++i)
+    truncated[i] = static_cast<std::uint8_t>(i * 7);
+
+  KeySchedule fresh;
+  fresh.set_psk(psk);
+  EXPECT_EQ(fresh.psk_binder(truncated), reference_binder(psk, {}, truncated));
+
+  // Second ClientHello after HelloRetryRequest: the binder covers the
+  // synthetic message_hash message and the HRR as well.
+  Bytes ch1 = {1, 0, 0, 3, 0xAA, 0xBB, 0xCC};
+  Bytes hrr(90, 0x33);
+  hrr[0] = 2;
+  KeySchedule ks;
+  ks.update_transcript(ch1);
+  ks.convert_to_hrr_transcript();
+  ks.update_transcript(hrr);
+  ks.set_psk(psk);
+  Bytes prior = {254, 0, 0, 32};
+  append(prior, crypto::sha256(ch1));
+  append(prior, hrr);
+  Bytes binder = ks.psk_binder(truncated);
+  EXPECT_EQ(binder, reference_binder(psk, prior, truncated));
+  EXPECT_NE(binder, fresh.psk_binder(truncated));
+  // Computing the binder leaves the running transcript untouched.
+  EXPECT_EQ(ks.transcript_hash(), crypto::sha256(prior));
+}
+
 }  // namespace
 }  // namespace pqtls::tls
