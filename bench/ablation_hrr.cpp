@@ -3,56 +3,13 @@
 // that the 2-RTT fallback never occurred"). Measures what that choice is
 // worth: handshakes where the client guesses the wrong group and the server
 // answers with HelloRetryRequest, across network scenarios.
-#include <cstdio>
-
+//
+// A thin declaration over the campaign engine (scenario-matrix layout, one
+// "<scenario>" and one "<scenario> +HRR" column per scenario): argv[1]
+// overrides the sample count, argv[2] names an optional JSONL output file,
+// PQTLS_WORKERS parallelizes.
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  using namespace pqtls;
-  int samples = bench::sample_count(argc, argv, 7);
-
-  static const char* kKas[] = {"kyber512", "kyber768", "hqc128", "bikel1"};
-  const testbed::Scenario scenarios[] = {
-      testbed::standard_scenarios()[0],  // no emulation
-      testbed::standard_scenarios()[3],  // 1 s RTT
-      testbed::standard_scenarios()[5],  // 5G
-  };
-
-  std::printf("Ablation: 1-RTT (client guesses the server group) vs 2-RTT "
-              "(HelloRetryRequest after a wrong x25519 guess);\nmedian "
-              "full-handshake latency in ms, SA = dilithium2, %d samples "
-              "per cell\n\n",
-              samples);
-  std::printf("%-10s", "KA");
-  for (const auto& s : scenarios)
-    std::printf(" %12.12s %12.12s", (s.name + " 1RTT").c_str(),
-                (s.name + " HRR").c_str());
-  std::printf("\n");
-
-  for (const char* ka : kKas) {
-    std::printf("%-10s", ka);
-    for (const auto& scenario : scenarios) {
-      for (bool hrr : {false, true}) {
-        testbed::ExperimentConfig config;
-        config.ka = ka;
-        config.sa = "dilithium2";
-        config.netem = scenario.netem;
-        config.sample_handshakes = samples;
-        if (hrr) config.client_wrong_guess = "x25519";
-        auto r = testbed::run_experiment(config);
-        if (r.ok)
-          std::printf(" %12.2f", r.median_total * 1e3);
-        else
-          std::printf(" %12s", "FAIL");
-        std::fflush(stdout);
-      }
-    }
-    std::printf("\n");
-  }
-  std::printf("\nReading: the wrong guess costs one extra round trip plus a "
-              "second key generation —\nnegligible on the LAN, a full extra "
-              "second at a 1 s RTT. Pre-computing the right\nkey share (the "
-              "paper's setup, and what browsers deploy) is what makes PQ TLS "
-              "1-RTT.\n");
-  return 0;
+  return pqtls::bench::run_declared_campaign("ablation_hrr", argc, argv);
 }

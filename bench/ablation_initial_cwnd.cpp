@@ -1,51 +1,15 @@
 // Ablation for the paper's closing recommendation: "We expect the initial
 // CWND will become an important tuning factor for TLS servers to retain the
 // ability for 1-RTT handshakes." Sweeps the TCP initial congestion window
-// for representative SAs under the 1 s RTT scenario and shows how a larger
-// IW restores single-round-trip handshakes for large PQ flights.
-#include <cstdio>
-
+// for representative SAs at a 1 s RTT and shows how a larger IW restores
+// single-round-trip handshakes for large PQ flights.
+//
+// A thin declaration over the campaign engine (scenario-matrix layout, one
+// "IW <n>" column per window): argv[1] overrides the sample count, argv[2]
+// names an optional JSONL output file, PQTLS_WORKERS parallelizes.
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  using namespace pqtls;
-  int samples = bench::sample_count(argc, argv, 5);
-
-  static const char* kSas[] = {"rsa:2048",   "falcon512",  "dilithium2",
-                               "dilithium5", "sphincs128", "sphincs256"};
-  static const std::size_t kWindows[] = {3, 10, 20, 40, 80};
-
-  std::printf("Ablation: TCP initial congestion window vs handshake RTTs "
-              "(1 s RTT scenario, KA = x25519, %d samples per cell)\n\n",
-              samples);
-  std::printf("Median full-handshake latency in ms (RTT multiples in "
-              "parentheses):\n");
-  std::printf("%-12s", "SA \\ IW");
-  for (std::size_t iw : kWindows) std::printf(" %14zu", iw);
-  std::printf("\n");
-
-  for (const char* sa : kSas) {
-    std::printf("%-12s", sa);
-    for (std::size_t iw : kWindows) {
-      testbed::ExperimentConfig config;
-      config.ka = "x25519";
-      config.sa = sa;
-      config.netem.delay_s = 0.5;  // 1 s RTT
-      config.initial_cwnd_segments = iw;
-      config.sample_handshakes = samples;
-      auto r = testbed::run_experiment(config);
-      if (r.ok)
-        std::printf(" %9.0f (%.0fx)", r.median_total * 1e3,
-                    r.median_total / 1.0);
-      else
-        std::printf(" %14s", "FAIL");
-      std::fflush(stdout);
-    }
-    std::printf("\n");
-  }
-
-  std::printf("\nReading: IW10 (the Linux default) forces SPHINCS+ flights "
-              "into 2-4 RTTs; raising the\ninitial window to ~40 segments "
-              "restores 1-RTT handshakes for every algorithm here.\n");
-  return 0;
+  return pqtls::bench::run_declared_campaign("ablation_initial_cwnd", argc,
+                                             argv);
 }

@@ -1,63 +1,14 @@
 // The paper's appendix-B "all-sphincs" experiment: compare SPHINCS+ variants
 // to identify the best one for TLS. The paper concluded the haraka-"f"
 // (fast) simple parameter sets win on handshake latency; the "s" (small)
-// sets trade much slower signing for roughly half the signature bytes.
-#include <chrono>
-#include <cstdio>
-
-#include "crypto/drbg.hpp"
-#include "sig/sphincs.hpp"
-#include "testbed/testbed.hpp"
+// sets trade much slower signing (the SrvCPU column) for roughly half the
+// signature bytes.
+//
+// A thin declaration over the campaign engine (white-box ASCII rendering):
+// argv[1] overrides the sample count, argv[2] names an optional JSONL
+// output file, PQTLS_WORKERS parallelizes.
+#include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  using namespace pqtls;
-  int samples = argc > 1 ? std::atoi(argv[1]) : 3;
-
-  const sig::SphincsSigner* variants[] = {
-      &sig::SphincsSigner::sphincs128(),  &sig::SphincsSigner::sphincs128s(),
-      &sig::SphincsSigner::sphincs192(),  &sig::SphincsSigner::sphincs192s(),
-      &sig::SphincsSigner::sphincs256(),  &sig::SphincsSigner::sphincs256s(),
-  };
-
-  std::printf("all-sphincs: SPHINCS+ variant selection (f = fast, s = "
-              "small)\n\n");
-  std::printf("%-12s %8s | %10s %10s | %12s %12s\n", "variant", "sig(B)",
-              "sign ms", "verify ms", "HS med(ms)", "Server(B)");
-
-  for (const auto* variant : variants) {
-    crypto::Drbg rng(0x5F1);
-    auto kp = variant->generate_keypair(rng);
-    Bytes msg = rng.bytes(64);
-    auto t0 = std::chrono::steady_clock::now();
-    Bytes signature = variant->sign(kp.secret_key, msg, rng);
-    double sign_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count();
-    t0 = std::chrono::steady_clock::now();
-    bool ok = variant->verify(kp.public_key, msg, signature);
-    double verify_ms = std::chrono::duration<double, std::milli>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-    if (!ok) {
-      std::printf("%-12s VERIFY FAILED\n", variant->name().c_str());
-      continue;
-    }
-
-    testbed::ExperimentConfig config;
-    config.ka = "x25519";
-    config.sa = variant->name();
-    config.sample_handshakes = samples;
-    auto r = testbed::run_experiment(config);
-
-    std::printf("%-12s %8zu | %10.1f %10.2f | %12.2f %12zu\n",
-                variant->name().c_str(), variant->signature_size(), sign_ms,
-                verify_ms, r.ok ? r.median_total * 1e3 : -1.0,
-                r.ok ? r.server_bytes : 0);
-    std::fflush(stdout);
-  }
-
-  std::printf("\nThe f-variants dominate on handshake latency (the paper's "
-              "selection criterion);\nthe s-variants halve the wire bytes at "
-              "a >10x signing cost.\n");
-  return 0;
+  return pqtls::bench::run_declared_campaign("all_sphincs", argc, argv);
 }

@@ -1,6 +1,7 @@
-// Shared helpers for the table/figure reproduction binaries. The algorithm
-// matrix itself lives in src/campaign/matrix.hpp (shared with the campaign
-// engine); the aliases below keep the bench binaries' spelling.
+// Shared helpers for the table/figure reproduction binaries. Every binary
+// runs a campaign declared in src/campaign/campaign.cpp: most render it
+// through the ASCII sink, the figure binaries collect its rows for an
+// analysis pass.
 #pragma once
 
 #include <cstdio>
@@ -10,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "campaign/matrix.hpp"
 #include "campaign/options.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/sinks.hpp"
@@ -18,16 +18,6 @@
 #include "testbed/testbed.hpp"
 
 namespace pqtls::bench {
-
-/// Sample count per configuration; override with argv[1] or PQTLS_SAMPLES.
-/// Malformed overrides warn on stderr and keep `fallback` (never the old
-/// silent atoi-zero).
-inline int sample_count(int argc, char** argv, int fallback) {
-  if (argc > 1)
-    return campaign::positive_int_or(argv[1], fallback,
-                                     "sample count (argv[1])");
-  return campaign::env_samples(fallback);
-}
 
 /// Render a proportional ASCII bar (the paper's tables embed bar charts).
 inline std::string bar(double value, double max_value, int width = 12) {
@@ -39,13 +29,25 @@ inline std::string bar(double value, double max_value, int width = 12) {
   return out;
 }
 
-/// Run a named campaign the way the historical bench binaries did: the
-/// paper-fidelity measured clock, sample override from argv[1] or
-/// PQTLS_SAMPLES, worker count from PQTLS_WORKERS (default 1), ASCII table
-/// on stdout, and optional JSONL rows to the path in argv[2]. Returns the
-/// process exit code (0 = all cells ok, 2 = some cell failed).
+/// Runner options the historical bench binaries used: the paper-fidelity
+/// measured clock, each cell's own sample count unless argv[1] or
+/// PQTLS_SAMPLES overrides it, and PQTLS_WORKERS workers (default 1).
+/// Malformed overrides warn on stderr and are ignored.
+inline campaign::RunnerOptions runner_options(int argc, char** argv) {
+  campaign::RunnerOptions opts;
+  opts.samples = argc > 1 ? campaign::positive_int_or(
+                                argv[1], 0, "sample count (argv[1])")
+                          : campaign::env_samples(0);
+  opts.workers = campaign::env_workers(1);
+  opts.time_model = testbed::TimeModel::kMeasured;
+  return opts;
+}
+
+/// Run a named campaign with runner_options(): ASCII table on stdout, and
+/// optional JSONL rows to the path in argv[2]. Returns the process exit
+/// code (0 = all cells ok, 2 = some cell failed).
 inline int run_declared_campaign(const char* campaign_name, int argc,
-                                 char** argv, int default_samples) {
+                                 char** argv) {
   const campaign::CampaignSpec* spec = campaign::find_campaign(campaign_name);
   if (!spec) {
     std::fprintf(stderr, "unknown campaign '%s'\n", campaign_name);
@@ -63,10 +65,6 @@ inline int run_declared_campaign(const char* campaign_name, int argc,
     std::fprintf(stderr, "campaign '%s': %s\n", campaign_name, e.what());
     return 1;
   }
-  campaign::RunnerOptions opts;
-  opts.samples = sample_count(argc, argv, default_samples);
-  opts.workers = campaign::env_workers(1);
-  opts.time_model = testbed::TimeModel::kMeasured;  // paper-fidelity clock
 
   campaign::AsciiSink ascii(std::cout);
   std::vector<campaign::Sink*> sinks{&ascii};
@@ -81,21 +79,9 @@ inline int run_declared_campaign(const char* campaign_name, int argc,
     jsonl.emplace(jsonl_file);
     sinks.push_back(&*jsonl);
   }
-  return campaign::run_campaign(*spec, opts, sinks) == 0 ? 0 : 2;
-}
-
-using KaRow = campaign::AlgRow;
-using SaRow = campaign::AlgRow;
-using LevelCombos = campaign::LevelCombos;
-
-inline const std::vector<KaRow>& table2a_kas() {
-  return campaign::table2a_kas();
-}
-inline const std::vector<SaRow>& table2b_sas() {
-  return campaign::table2b_sas();
-}
-inline const std::vector<LevelCombos>& fig3_levels() {
-  return campaign::fig3_levels();
+  return campaign::run_campaign(*spec, runner_options(argc, argv), sinks) == 0
+             ? 0
+             : 2;
 }
 
 }  // namespace pqtls::bench

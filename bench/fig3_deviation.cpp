@@ -1,100 +1,70 @@
 // Reproduces Figure 3: the KA/SA independence analysis. For every
-// non-hybrid KA x SA combination per NIST level group, measure the
-// handshake latency under (a) the default OpenSSL buffering behaviour and
-// (b) the optimized immediate-push behaviour, compute the deviation from
-// the independence prediction E(k,s) - M(k,s), and report the improvement
-// of the optimized behaviour (Figure 3c).
+// non-hybrid KA x SA combination per NIST level group, the handshake
+// latency under (a) the default OpenSSL buffering behaviour and (b) the
+// optimized immediate-push behaviour, the deviation from the independence
+// prediction E(k,s) - M(k,s), and (c) the improvement of the optimized
+// behaviour.
+//
+// Runs the "fig3" campaign (the grids plus their deviation baselines, under
+// both buffering modes) through an in-memory sink; 3a, 3b and 3c all read
+// the same samples.
 #include <cstdio>
 
 #include "analysis/deviation.hpp"
 #include "bench_common.hpp"
-
-namespace {
-
-using pqtls::analysis::LatencyTable;
-
-LatencyTable measure(const std::vector<std::pair<std::string, std::string>>&
-                         combos,
-                     pqtls::tls::Buffering buffering, int samples) {
-  LatencyTable table;
-  for (const auto& [ka, sa] : combos) {
-    pqtls::testbed::ExperimentConfig config;
-    config.ka = ka;
-    config.sa = sa;
-    config.buffering = buffering;
-    config.sample_handshakes = samples;
-    auto r = pqtls::testbed::run_experiment(config);
-    table[{ka, sa}] = r.ok ? r.median_total : -1;
-  }
-  return table;
-}
-
-}  // namespace
+#include "campaign/matrix.hpp"
 
 int main(int argc, char** argv) {
   using namespace pqtls;
-  int samples = bench::sample_count(argc, argv, 9);
+  campaign::CollectSink collect;
+  campaign::run_campaign(*campaign::find_campaign("fig3"),
+                         bench::runner_options(argc, argv), {&collect});
 
-  for (auto buffering : {tls::Buffering::kDefault, tls::Buffering::kImmediate}) {
-    const char* mode_label = buffering == tls::Buffering::kDefault
-                                 ? "Figure 3a: default OpenSSL behaviour"
-                                 : "Figure 3b: optimized behaviour";
-    std::printf("\n%s (deviation E(k,s) - M(k,s) in ms; positive = "
-                "faster than predicted)\n",
-                mode_label);
-
-    for (const auto& level : bench::fig3_levels()) {
-      // Collect the measurements needed: all combos + baselines.
-      std::vector<std::pair<std::string, std::string>> combos;
-      std::vector<std::pair<std::string, std::string>> needed;
-      needed.emplace_back("x25519", "rsa:2048");
-      for (const char* ka : level.kas) needed.emplace_back(ka, "rsa:2048");
-      for (const char* sa : level.sas) needed.emplace_back("x25519", sa);
-      for (const char* ka : level.kas)
-        for (const char* sa : level.sas) {
-          combos.emplace_back(ka, sa);
-          needed.emplace_back(ka, sa);
-        }
-      LatencyTable table = measure(needed, buffering, samples);
-
-      auto cells = analysis::deviation_analysis(table, combos);
-      std::printf("  %s:\n", level.label);
-      std::printf("  %-14s", "");
-      for (const char* sa : level.sas) std::printf(" %14s", sa);
-      std::printf("\n");
-      std::size_t idx = 0;
-      for (const char* ka : level.kas) {
-        std::printf("  %-14s", ka);
-        for (std::size_t s = 0; s < level.sas.size(); ++s) {
-          std::printf(" %+14.2f", cells[idx++].deviation * 1e3);
-        }
-        std::printf("\n");
-      }
-    }
+  analysis::LatencyTable buffered, immediate;
+  for (const auto& o : collect.outcomes()) {
+    auto& table = o.cell.config.buffering == tls::Buffering::kDefault
+                      ? buffered
+                      : immediate;
+    table[{o.cell.config.ka, o.cell.config.sa}] =
+        o.ok() ? o.result.median_total : -1;
   }
 
-  // Figure 3c: improvement of optimized over default behaviour per combo.
-  std::printf("\nFigure 3c: improvement of the optimized behaviour "
-              "(M_default - M_optimized in ms; positive = optimized faster)\n");
-  for (const auto& level : bench::fig3_levels()) {
-    std::vector<std::pair<std::string, std::string>> combos;
-    for (const char* ka : level.kas)
-      for (const char* sa : level.sas) combos.emplace_back(ka, sa);
-    LatencyTable def = measure(combos, pqtls::tls::Buffering::kDefault, samples);
-    LatencyTable opt =
-        measure(combos, pqtls::tls::Buffering::kImmediate, samples);
-    std::printf("  %s:\n", level.label);
-    std::printf("  %-14s", "");
+  // Prints one level's KA x SA grid, `value` giving each cell in ms.
+  auto print_grid = [](const campaign::LevelCombos& level, auto value) {
+    std::printf("  %s:\n  %-14s", level.label, "");
     for (const char* sa : level.sas) std::printf(" %14s", sa);
     std::printf("\n");
     for (const char* ka : level.kas) {
       std::printf("  %-14s", ka);
-      for (const char* sa : level.sas) {
-        double d = def[{ka, sa}], o = opt[{ka, sa}];
-        std::printf(" %+14.2f", (d - o) * 1e3);
-      }
+      for (const char* sa : level.sas) std::printf(" %+14.2f", value(ka, sa));
       std::printf("\n");
     }
+  };
+
+  for (const auto* table : {&buffered, &immediate}) {
+    std::printf("\n%s (deviation E(k,s) - M(k,s) in ms; positive = "
+                "faster than predicted)\n",
+                table == &buffered ? "Figure 3a: default OpenSSL behaviour"
+                                   : "Figure 3b: optimized behaviour");
+    for (const auto& level : campaign::fig3_levels()) {
+      std::vector<std::pair<std::string, std::string>> combos;
+      for (const char* ka : level.kas)
+        for (const char* sa : level.sas) combos.emplace_back(ka, sa);
+      analysis::LatencyTable deviation;
+      for (const auto& cell : analysis::deviation_analysis(*table, combos))
+        deviation[{cell.ka, cell.sa}] = cell.deviation;
+      print_grid(level, [&](const char* ka, const char* sa) {
+        return deviation.at({ka, sa}) * 1e3;
+      });
+    }
+  }
+
+  std::printf("\nFigure 3c: improvement of the optimized behaviour "
+              "(M_default - M_optimized in ms; positive = optimized faster)\n");
+  for (const auto& level : campaign::fig3_levels()) {
+    print_grid(level, [&](const char* ka, const char* sa) {
+      return (buffered.at({ka, sa}) - immediate.at({ka, sa})) * 1e3;
+    });
   }
   return 0;
 }

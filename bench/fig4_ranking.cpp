@@ -12,14 +12,9 @@
 
 int main(int argc, char** argv) {
   using namespace pqtls;
-  const campaign::CampaignSpec* spec = campaign::find_campaign("fig4");
-  campaign::RunnerOptions opts;
-  opts.samples = bench::sample_count(argc, argv, 9);
-  opts.workers = campaign::env_workers(1);
-  opts.time_model = testbed::TimeModel::kMeasured;  // paper-fidelity clock
-
   campaign::CollectSink collect;
-  campaign::run_campaign(*spec, opts, {&collect});
+  campaign::run_campaign(*campaign::find_campaign("fig4"),
+                         bench::runner_options(argc, argv), {&collect});
 
   // The shared x25519/rsa:2048 cell contributes to both rankings, exactly
   // as it appeared in both of the paper's sweeps.

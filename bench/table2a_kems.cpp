@@ -9,5 +9,5 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  return pqtls::bench::run_declared_campaign("table2a", argc, argv, 25);
+  return pqtls::bench::run_declared_campaign("table2a", argc, argv);
 }

@@ -8,5 +8,5 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  return pqtls::bench::run_declared_campaign("table2b", argc, argv, 15);
+  return pqtls::bench::run_declared_campaign("table2b", argc, argv);
 }

@@ -2,75 +2,12 @@
 // KA/SA pairs — handshake rate, CPU cost per handshake on server and
 // client, per-library CPU distribution (libcrypto / kernel / libssl / libc /
 // ixgbe / python), and packets sent per handshake.
-#include <cstdio>
-
+//
+// A thin declaration over the campaign engine (white-box ASCII rendering):
+// argv[1] overrides the sample count, argv[2] names an optional JSONL
+// output file, PQTLS_WORKERS parallelizes.
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  using namespace pqtls;
-  int samples = bench::sample_count(argc, argv, 12);
-
-  struct Pair {
-    const char* level;
-    const char* ka;
-    const char* sa;
-  };
-  // The paper's Table 3 selection.
-  static constexpr Pair kPairs[] = {
-      {"<=2", "x25519", "rsa:2048"},
-      {"<=2", "kyber512", "dilithium2"},
-      {"<=2", "bikel1", "dilithium2"},
-      {"<=2", "kyber512", "sphincs128"},
-      {"<=2", "hqc128", "falcon512"},
-      {"<=2", "p256_kyber512", "p256_dilithium2"},
-      {"3", "kyber768", "dilithium3"},
-      {"5", "kyber1024", "dilithium5"},
-  };
-
-  std::printf("Table 3: white-box measurements (%d sampled handshakes per "
-              "row)\n\n",
-              samples);
-  std::printf("%-4s %-15s %-17s %6s | %9s %9s | %8s %8s\n", "Lvl", "KA", "SA",
-              "HS[1/s]", "SrvCPU ms", "CliCPU ms", "SrvPkts", "CliPkts");
-
-  std::vector<testbed::ExperimentResult> results;
-  for (const auto& pair : kPairs) {
-    testbed::ExperimentConfig config;
-    config.ka = pair.ka;
-    config.sa = pair.sa;
-    config.white_box = true;
-    config.sample_handshakes = samples;
-    testbed::ExperimentResult r = testbed::run_experiment(config);
-    if (!r.ok) {
-      std::printf("%-4s %-15s %-17s FAILED\n", pair.level, pair.ka, pair.sa);
-      continue;
-    }
-    std::printf("%-4s %-15s %-17s %6.0f | %9.2f %9.2f | %8.1f %8.1f\n",
-                pair.level, pair.ka, pair.sa, r.handshakes_per_second,
-                r.server_cpu_ms, r.client_cpu_ms, r.server_packets,
-                r.client_packets);
-    results.push_back(std::move(r));
-  }
-
-  std::printf("\nLibrary distribution (%% of CPU time per side)\n");
-  std::printf("%-34s | %-42s | %-42s\n", "", "server", "client");
-  std::printf("%-15s %-18s |", "KA", "SA");
-  for (int side = 0; side < 2; ++side) {
-    for (int lib = 0; lib < static_cast<int>(perf::Lib::kCount); ++lib)
-      std::printf(" %6.6s", std::string(perf::lib_name(
-                                static_cast<perf::Lib>(lib)))
-                                .c_str());
-    std::printf(" |");
-  }
-  std::printf("\n");
-  for (const auto& r : results) {
-    std::printf("%-15s %-18s |", r.ka.c_str(), r.sa.c_str());
-    for (int lib = 0; lib < static_cast<int>(perf::Lib::kCount); ++lib)
-      std::printf(" %5.1f%%", r.server_shares.share[lib] * 100);
-    std::printf(" |");
-    for (int lib = 0; lib < static_cast<int>(perf::Lib::kCount); ++lib)
-      std::printf(" %5.1f%%", r.client_shares.share[lib] * 100);
-    std::printf(" |\n");
-  }
-  return 0;
+  return pqtls::bench::run_declared_campaign("table3", argc, argv);
 }

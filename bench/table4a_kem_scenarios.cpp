@@ -8,5 +8,5 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  return pqtls::bench::run_declared_campaign("table4a", argc, argv, 9);
+  return pqtls::bench::run_declared_campaign("table4a", argc, argv);
 }

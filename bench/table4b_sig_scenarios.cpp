@@ -10,5 +10,5 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  return pqtls::bench::run_declared_campaign("table4b", argc, argv, 7);
+  return pqtls::bench::run_declared_campaign("table4b", argc, argv);
 }

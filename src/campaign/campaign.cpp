@@ -3,6 +3,8 @@
 #include <cctype>
 #include <cstdio>
 #include <set>
+#include <stdexcept>
+#include <utility>
 
 #include "campaign/matrix.hpp"
 
@@ -35,6 +37,32 @@ Cell make_cell(const std::string& ka, const std::string& sa, int samples) {
   return cell;
 }
 
+// White-box cells carry a "/whitebox" suffix so they never share an id, and
+// so a seed, with the black-box cell of the same pair.
+Cell whitebox_cell(const std::string& ka, const std::string& sa,
+                   int samples) {
+  Cell cell = make_cell(ka, sa, samples);
+  cell.id += "/whitebox";
+  cell.config.white_box = true;
+  return cell;
+}
+
+// A cell whose `label` names its kScenarioMatrix column and, slugged,
+// suffixes its id.
+Cell labeled_cell(const std::string& ka, const std::string& sa, int samples,
+                  const std::string& label) {
+  Cell cell = make_cell(ka, sa, samples);
+  cell.id += "/" + scenario_slug(label);
+  cell.scenario = label;
+  return cell;
+}
+
+const testbed::Scenario& standard_scenario(std::string_view name) {
+  for (const auto& scenario : testbed::standard_scenarios())
+    if (scenario.name == name) return scenario;
+  throw std::invalid_argument("unknown scenario " + std::string(name));
+}
+
 CampaignSpec build_table2a() {
   CampaignSpec spec;
   spec.name = "table2a";
@@ -63,10 +91,96 @@ CampaignSpec build_table3() {
       {"hqc128", "falcon512"},       {"p256_kyber512", "p256_dilithium2"},
       {"kyber768", "dilithium3"},    {"kyber1024", "dilithium5"},
   };
+  for (const auto& pair : kPairs)
+    spec.cells.push_back(whitebox_cell(pair[0], pair[1], 12));
+  return spec;
+}
+
+CampaignSpec build_sec55() {
+  CampaignSpec spec;
+  spec.name = "sec55";
+  spec.description =
+      "Section 5.5: per-SA data amplification and server/client CPU "
+      "asymmetry (white-box, x25519)";
+  for (const auto& row : table2b_sas())
+    spec.cells.push_back(whitebox_cell("x25519", row.name, 8));
+  return spec;
+}
+
+CampaignSpec build_all_sphincs() {
+  CampaignSpec spec;
+  spec.name = "all_sphincs";
+  spec.description =
+      "Appendix B all-sphincs: SPHINCS+ fast vs small variants (white-box, "
+      "x25519)";
+  for (const char* sa : {"sphincs128", "sphincs128s", "sphincs192",
+                         "sphincs192s", "sphincs256", "sphincs256s"})
+    spec.cells.push_back(whitebox_cell("x25519", sa, 3));
+  return spec;
+}
+
+// The 2-RTT fallback the paper configured away: each KA once with the
+// client guessing the server's group (1-RTT) and once after a wrong x25519
+// guess answered by HelloRetryRequest.
+CampaignSpec build_ablation_hrr() {
+  CampaignSpec spec;
+  spec.name = "ablation_hrr";
+  spec.description =
+      "Ablation: 1-RTT vs HelloRetryRequest after a wrong x25519 guess "
+      "(dilithium2)";
+  spec.ascii_layout = AsciiLayout::kScenarioMatrix;
+  for (const char* ka : {"kyber512", "kyber768", "hqc128", "bikel1"}) {
+    for (const char* name : {"No Emulation", "High Delay (1s RTT)", "5G"}) {
+      const testbed::Scenario& scenario = standard_scenario(name);
+      for (bool hrr : {false, true}) {
+        Cell cell = labeled_cell(ka, "dilithium2", 7,
+                                 hrr ? scenario.name + " +HRR"
+                                     : scenario.name);
+        cell.config.netem = scenario.netem;
+        if (hrr) cell.config.client_wrong_guess = "x25519";
+        spec.cells.push_back(std::move(cell));
+      }
+    }
+  }
+  return spec;
+}
+
+// The paper's closing recommendation: a larger TCP initial window restores
+// 1-RTT handshakes for large PQ certificate flights at a 1 s RTT.
+CampaignSpec build_ablation_initial_cwnd() {
+  CampaignSpec spec;
+  spec.name = "ablation_initial_cwnd";
+  spec.description =
+      "Ablation: TCP initial congestion window at a 1 s RTT (x25519)";
+  spec.ascii_layout = AsciiLayout::kScenarioMatrix;
+  for (const char* sa : {"rsa:2048", "falcon512", "dilithium2", "dilithium5",
+                         "sphincs128", "sphincs256"}) {
+    for (std::size_t iw : {3, 10, 20, 40, 80}) {
+      Cell cell = labeled_cell("x25519", sa, 5, "IW " + std::to_string(iw));
+      cell.config.netem.delay_s = 0.5;  // 1 s RTT
+      cell.config.initial_cwnd_segments = iw;
+      spec.cells.push_back(std::move(cell));
+    }
+  }
+  return spec;
+}
+
+// One handshake per headline pair under 10% loss, where a flight trace
+// earns its keep: CI runs it with --trace-dir and checks the traces'
+// schema and that every payload drop pairs with a retransmission.
+CampaignSpec build_trace_smoke() {
+  CampaignSpec spec;
+  spec.name = "trace_smoke";
+  spec.description = "Trace smoke: headline pairs under High Loss (10%)";
+  static constexpr const char* kPairs[][2] = {
+      {"x25519", "rsa:2048"},    {"kyber512", "dilithium2"},
+      {"kyber512", "falcon512"}, {"kyber512", "sphincs128"},
+      {"kyber768", "dilithium3"},
+  };
+  const testbed::Scenario& loss = standard_scenario("High Loss (10%)");
   for (const auto& pair : kPairs) {
-    Cell cell = make_cell(pair[0], pair[1], 12);
-    cell.id += "/whitebox";
-    cell.config.white_box = true;
+    Cell cell = labeled_cell(pair[0], pair[1], 1, loss.name);
+    cell.config.netem = loss.netem;
     spec.cells.push_back(std::move(cell));
   }
   return spec;
@@ -81,10 +195,9 @@ CampaignSpec build_table4(const char* name, const char* description,
   spec.ascii_layout = AsciiLayout::kScenarioMatrix;
   for (const auto& row : rows) {
     for (const auto& scenario : testbed::standard_scenarios()) {
-      Cell cell = vary_ka ? make_cell(row.name, "rsa:2048", samples)
-                          : make_cell("x25519", row.name, samples);
-      cell.id += "/" + scenario_slug(scenario.name);
-      cell.scenario = scenario.name;
+      Cell cell =
+          vary_ka ? labeled_cell(row.name, "rsa:2048", samples, scenario.name)
+                  : labeled_cell("x25519", row.name, samples, scenario.name);
       cell.config.netem = scenario.netem;
       spec.cells.push_back(std::move(cell));
     }
@@ -92,22 +205,31 @@ CampaignSpec build_table4(const char* name, const char* description,
   return spec;
 }
 
+// Per level: the KA x SA grid, then the baselines the independence
+// prediction reads, (x25519, rsa:2048), (ka, rsa:2048) and (x25519, sa).
+// Baselines shared between levels, or already in a grid, appear once.
 CampaignSpec build_fig3() {
   CampaignSpec spec;
   spec.name = "fig3";
   spec.description =
-      "Figure 3: per-level KA x SA grid under both server buffering modes";
+      "Figure 3: per-level KA x SA grid plus deviation baselines under both "
+      "server buffering modes";
+  std::set<std::string> seen;
   for (const auto& level : fig3_levels()) {
-    for (const char* ka : level.kas) {
-      for (const char* sa : level.sas) {
-        for (tls::Buffering buffering :
-             {tls::Buffering::kDefault, tls::Buffering::kImmediate}) {
-          Cell cell = make_cell(ka, sa, 9);
-          cell.id += buffering == tls::Buffering::kDefault ? "/buffered"
-                                                           : "/immediate";
-          cell.config.buffering = buffering;
-          spec.cells.push_back(std::move(cell));
-        }
+    std::vector<std::pair<const char*, const char*>> pairs;
+    for (const char* ka : level.kas)
+      for (const char* sa : level.sas) pairs.emplace_back(ka, sa);
+    pairs.emplace_back("x25519", "rsa:2048");
+    for (const char* ka : level.kas) pairs.emplace_back(ka, "rsa:2048");
+    for (const char* sa : level.sas) pairs.emplace_back("x25519", sa);
+    for (const auto& [ka, sa] : pairs) {
+      for (tls::Buffering buffering :
+           {tls::Buffering::kDefault, tls::Buffering::kImmediate}) {
+        Cell cell = make_cell(ka, sa, 9);
+        cell.id += buffering == tls::Buffering::kDefault ? "/buffered"
+                                                         : "/immediate";
+        cell.config.buffering = buffering;
+        if (seen.insert(cell.id).second) spec.cells.push_back(std::move(cell));
       }
     }
   }
@@ -370,24 +492,17 @@ CampaignSpec build_cert_chains() {
   return spec;
 }
 
-CampaignSpec build_all(const std::vector<CampaignSpec>& others) {
+// Only the paper's tables and figures: the extension campaigns measure
+// variants (resumption, chains, ablations) or emit loadgen rows.
+CampaignSpec build_all(const std::vector<CampaignSpec>& paper) {
   CampaignSpec spec;
   spec.name = "all";
   spec.description =
-      "Union of every built-in handshake campaign (deduplicated by id; "
-      "loadgen and resumption campaigns emit differently-keyed rows and "
-      "stay separate)";
+      "Union of the paper's Tables 2-4 and Figures 3-4 (deduplicated by id)";
   std::set<std::string> seen;
-  for (const auto& other : others) {
-    // The resumption campaign's /full cells would duplicate plain cells
-    // under a different id (and thus a different derived seed); keep the
-    // union limited to the paper's full-handshake campaigns. The hierarchy
-    // campaign likewise measures non-paper chain variants.
-    if (other.name == "resumption" || other.name == "cert_chains") continue;
+  for (const auto& other : paper)
     for (const auto& cell : other.cells)
-      if (!cell.loadgen && seen.insert(cell.id).second)
-        spec.cells.push_back(cell);
-  }
+      if (seen.insert(cell.id).second) spec.cells.push_back(cell);
   return spec;
 }
 
@@ -407,6 +522,7 @@ const std::vector<CampaignSpec>& campaigns() {
                                table4b_sas(), /*vary_ka=*/false, 7));
     out.push_back(build_fig3());
     out.push_back(build_fig4());
+    CampaignSpec paper_union = build_all(out);
     out.push_back(build_loadgen(
         "loadgen_kems",
         "Loadgen capacity: representative KAs with rsa:2048, 4-core server",
@@ -419,7 +535,12 @@ const std::vector<CampaignSpec>& campaigns() {
     out.push_back(build_fleet());
     out.push_back(build_resumption());
     out.push_back(build_cert_chains());
-    out.push_back(build_all(out));
+    out.push_back(build_sec55());
+    out.push_back(build_all_sphincs());
+    out.push_back(build_ablation_hrr());
+    out.push_back(build_ablation_initial_cwnd());
+    out.push_back(build_trace_smoke());
+    out.push_back(std::move(paper_union));
     return out;
   }();
   return all;

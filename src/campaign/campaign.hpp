@@ -3,7 +3,9 @@
 // The id is the cell's identity across runs — the runner derives the cell's
 // seed from it, result rows carry it, and the `all` campaign deduplicates
 // on it. Built-in campaigns cover the paper's artifacts (Tables 2a/2b/3/
-// 4a/4b, Figures 3/4).
+// 4a/4b, Figures 3/4, section 5.5, appendix B's all-sphincs), two
+// ablations, the CI trace smoke, and the load, resumption and certificate
+// extensions.
 #pragma once
 
 #include <optional>

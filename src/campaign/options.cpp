@@ -1,6 +1,7 @@
 #include "campaign/options.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -42,6 +43,20 @@ std::uint64_t u64_or(const char* text, std::uint64_t fallback,
                  "warning: ignoring invalid %s '%s' (want an unsigned "
                  "integer); using %llu\n",
                  what, text, static_cast<unsigned long long>(fallback));
+  return fallback;
+}
+
+double double_or(const char* text, double fallback, const char* what) {
+  if (!text) return fallback;
+  char* end = nullptr;
+  double value = std::strtod(text, &end);
+  // strtod accepts "nan" and "inf", and NaN slips past `value < 0`.
+  if (end != text && *end == '\0' && std::isfinite(value) && value >= 0)
+    return value;
+  std::fprintf(stderr,
+               "warning: ignoring invalid %s '%s' (want a non-negative "
+               "number); using %g\n",
+               what, text, fallback);
   return fallback;
 }
 

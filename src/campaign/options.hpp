@@ -1,7 +1,8 @@
-// Defensive parsing of numeric knobs shared by the campaign CLI and the
-// bench binaries. Malformed input never silently becomes 0 (the old
-// std::atoi behaviour): the caller's default wins and a warning goes to
-// stderr so a typo in PQTLS_SAMPLES doesn't degrade a run to zero samples.
+// Defensive parsing of numeric knobs shared by the campaign and loadgen
+// CLIs and the bench binaries. Malformed input never silently becomes 0
+// (the old std::atoi/std::atof behaviour): the caller's default wins and a
+// warning goes to stderr so a typo in PQTLS_SAMPLES doesn't degrade a run
+// to zero samples.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +17,11 @@ int positive_int_or(const char* text, int fallback, const char* what);
 /// Like positive_int_or but for unsigned 64-bit values (seeds); accepts 0.
 std::uint64_t u64_or(const char* text, std::uint64_t fallback,
                      const char* what);
+
+/// Parse `text` as a finite, non-negative decimal number (rates, budgets,
+/// durations); NaN, infinities, negatives and trailing garbage warn and
+/// return `fallback`, as does nullptr (silently).
+double double_or(const char* text, double fallback, const char* what);
 
 /// Sample-count override from the PQTLS_SAMPLES environment variable.
 int env_samples(int fallback);

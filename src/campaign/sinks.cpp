@@ -8,6 +8,7 @@
 #include <string_view>
 
 #include "crypto/backend/backend.hpp"
+#include "perf/profiler.hpp"
 
 namespace pqtls::campaign {
 
@@ -83,6 +84,10 @@ bool is_loadgen_campaign(const CampaignSpec& spec) {
   return !spec.cells.empty() && spec.cells.front().loadgen.has_value();
 }
 
+bool is_whitebox_campaign(const CampaignSpec& spec) {
+  return !spec.cells.empty() && spec.cells.front().config.white_box;
+}
+
 bool is_fleet_campaign(const CampaignSpec& spec) {
   return is_loadgen_campaign(spec) && spec.cells.front().loadgen->is_fleet();
 }
@@ -105,6 +110,18 @@ bool within_slo(const loadgen::LoadConfig& lc, const CellOutcome& o) {
   double lost = static_cast<double>(m.dropped + m.timed_out);
   return m.p99 <= lc.slo_s &&
          (m.arrivals <= 0 || lost <= 0.01 * static_cast<double>(m.arrivals));
+}
+
+// Section 5.5's attack levers: bytes the server sends per byte the client
+// sends (reflection), and server CPU per unit of client CPU (exhaustion).
+double amplification(const testbed::ExperimentResult& r) {
+  return r.client_bytes ? static_cast<double>(r.server_bytes) /
+                              static_cast<double>(r.client_bytes)
+                        : 0;
+}
+
+double cpu_ratio(const testbed::ExperimentResult& r) {
+  return r.client_cpu_ms > 0 ? r.server_cpu_ms / r.client_cpu_ms : 0;
 }
 
 // A sink receiving ok=true metrics with non-finite percentiles means an
@@ -257,6 +274,7 @@ void CsvSink::cell(const CellOutcome& o) {
 void AsciiSink::begin(const CampaignSpec& spec, const RunnerOptions& opts) {
   layout_ = spec.ascii_layout;
   loadgen_ = is_loadgen_campaign(spec);
+  whitebox_ = is_whitebox_campaign(spec);
   char head[256];
   std::snprintf(head, sizeof(head), "%s — %s (%d cells)\n",
                 spec.name.c_str(), spec.description.c_str(),
@@ -268,6 +286,14 @@ void AsciiSink::begin(const CampaignSpec& spec, const RunnerOptions& opts) {
                   "%-34s %9s %9s %9s %9s %9s %7s %6s %6s\n", "cell",
                   "off[1/s]", "ach[1/s]", "cap[1/s]", "p50(ms)", "p99(ms)",
                   "qdepth", "drop", "t/o");
+    out_ << head;
+    return;
+  }
+  if (whitebox_) {
+    std::snprintf(head, sizeof(head),
+                  "%-34s %8s %9s %9s %7s %7s %10s %10s %7s %8s\n", "cell",
+                  "HS[1/s]", "SrvCPU ms", "CliCPU ms", "SrvPkts", "CliPkts",
+                  "Client(B)", "Server(B)", "Amplif.", "CPUratio");
     out_ << head;
     return;
   }
@@ -300,7 +326,7 @@ void AsciiSink::cell(const CellOutcome& o) {
     return;
   }
   if (layout_ == AsciiLayout::kScenarioMatrix) {
-    matrix_cells_.push_back(o);
+    buffered_.push_back(o);
     return;
   }
   char line[256];
@@ -311,6 +337,18 @@ void AsciiSink::cell(const CellOutcome& o) {
     return;
   }
   const auto& r = o.result;
+  if (whitebox_) {
+    std::snprintf(line, sizeof(line),
+                  "%-34s %8.0f %9.2f %9.2f %7.1f %7.1f %10zu %10zu %6.1fx "
+                  "%7.1fx\n",
+                  o.cell.id.c_str(), r.handshakes_per_second, r.server_cpu_ms,
+                  r.client_cpu_ms, r.server_packets, r.client_packets,
+                  r.client_bytes, r.server_bytes, amplification(r),
+                  cpu_ratio(r));
+    out_ << line;
+    buffered_.push_back(o);
+    return;
+  }
   std::snprintf(line, sizeof(line),
                 "%-34s %10.2f %10.2f %10.2f %7.1fk %10zu %10zu\n",
                 o.cell.id.c_str(), r.median_part_a * 1e3,
@@ -321,12 +359,17 @@ void AsciiSink::cell(const CellOutcome& o) {
 }
 
 void AsciiSink::finish() {
+  if (whitebox_) {
+    finish_whitebox();
+    return;
+  }
   if (layout_ != AsciiLayout::kScenarioMatrix) return;
   // Rows: "ka/sa" in first-seen order; columns: scenarios in first-seen
-  // order; cell value: median total latency (ms).
+  // order, each as wide as its label (at least 12); cell value: median
+  // total latency (ms).
   std::vector<std::string> scenarios, rows;
   std::map<std::pair<std::string, std::string>, const CellOutcome*> grid;
-  for (const auto& o : matrix_cells_) {
+  for (const auto& o : buffered_) {
     std::string row = o.cell.config.ka + "/" + o.cell.config.sa;
     if (std::find(rows.begin(), rows.end(), row) == rows.end())
       rows.push_back(row);
@@ -335,11 +378,14 @@ void AsciiSink::finish() {
       scenarios.push_back(o.cell.scenario);
     grid[{row, o.cell.scenario}] = &o;
   }
-  char buf[64];
+  char buf[128];
   std::snprintf(buf, sizeof(buf), "%-34s", "cell");
   out_ << buf;
+  auto width = [](const std::string& label) {
+    return std::max(12, static_cast<int>(label.size()));
+  };
   for (const auto& s : scenarios) {
-    std::snprintf(buf, sizeof(buf), " %12.12s", s.c_str());
+    std::snprintf(buf, sizeof(buf), " %*s", width(s), s.c_str());
     out_ << buf;
   }
   out_ << '\n';
@@ -349,14 +395,71 @@ void AsciiSink::finish() {
     for (const auto& s : scenarios) {
       auto it = grid.find({row, s});
       if (it != grid.end() && it->second->ok())
-        std::snprintf(buf, sizeof(buf), " %12.2f",
+        std::snprintf(buf, sizeof(buf), " %*.2f", width(s),
                       it->second->result.median_total * 1e3);
       else
-        std::snprintf(buf, sizeof(buf), " %12s", "FAIL");
+        std::snprintf(buf, sizeof(buf), " %*s", width(s), "FAIL");
       out_ << buf;
     }
     out_ << '\n';
   }
+}
+
+void AsciiSink::finish_whitebox() {
+  if (buffered_.empty()) return;
+  constexpr int kLibs = static_cast<int>(perf::Lib::kCount);
+  char buf[256];
+  out_ << "\nLibrary distribution (% of CPU time per side)\n";
+  std::snprintf(buf, sizeof(buf), "%-34s | %-42s | %-42s\n", "", "server",
+                "client");
+  out_ << buf;
+  std::snprintf(buf, sizeof(buf), "%-15s %-18s |", "KA", "SA");
+  out_ << buf;
+  for (int side = 0; side < 2; ++side) {
+    for (int lib = 0; lib < kLibs; ++lib) {
+      std::string name(perf::lib_name(static_cast<perf::Lib>(lib)));
+      std::snprintf(buf, sizeof(buf), " %6.6s", name.c_str());
+      out_ << buf;
+    }
+    out_ << " |";
+  }
+  out_ << '\n';
+  for (const auto& o : buffered_) {
+    const auto& r = o.result;
+    std::snprintf(buf, sizeof(buf), "%-15s %-18s |", o.cell.config.ka.c_str(),
+                  o.cell.config.sa.c_str());
+    out_ << buf;
+    for (const auto* shares : {&r.server_shares, &r.client_shares}) {
+      for (int lib = 0; lib < kLibs; ++lib) {
+        std::snprintf(buf, sizeof(buf), " %5.1f%%", shares->share[lib] * 100);
+        out_ << buf;
+      }
+      out_ << " |";
+    }
+    out_ << '\n';
+  }
+
+  auto worst = [&](double (*metric)(const testbed::ExperimentResult&))
+      -> const CellOutcome& {
+    return *std::max_element(
+        buffered_.begin(), buffered_.end(),
+        [&](const CellOutcome& a, const CellOutcome& b) {
+          return metric(a.result) < metric(b.result);
+        });
+  };
+  const CellOutcome& amp = worst(amplification);
+  const CellOutcome& cpu = worst(cpu_ratio);
+  std::snprintf(buf, sizeof(buf),
+                "\nWorst amplification factor: %.1fx (%s/%s); QUIC mandates "
+                "at most 3x before address validation.\n",
+                amplification(amp.result), amp.cell.config.ka.c_str(),
+                amp.cell.config.sa.c_str());
+  out_ << buf;
+  std::snprintf(buf, sizeof(buf),
+                "Worst server/client CPU asymmetry: %.1fx (%s/%s).\n",
+                cpu_ratio(cpu.result), cpu.cell.config.ka.c_str(),
+                cpu.cell.config.sa.c_str());
+  out_ << buf;
 }
 
 }  // namespace pqtls::campaign

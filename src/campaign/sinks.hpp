@@ -48,7 +48,9 @@ class CsvSink : public Sink {
 
 /// Human-readable rendering honouring the campaign's AsciiLayout: one row
 /// per cell (Table 2 style), or an algorithms-by-scenarios matrix of median
-/// totals rendered at finish() (Table 4 style).
+/// totals rendered at finish() (Table 4 style). White-box campaigns get
+/// Table 3's CPU, packet and amplification columns per cell, and finish()
+/// adds the per-library CPU distribution and the worst asymmetries.
 class AsciiSink : public Sink {
  public:
   explicit AsciiSink(std::ostream& out) : out_(out) {}
@@ -57,10 +59,13 @@ class AsciiSink : public Sink {
   void finish() override;
 
  private:
+  void finish_whitebox();
+
   std::ostream& out_;
   AsciiLayout layout_ = AsciiLayout::kPerCell;
-  bool loadgen_ = false;  // campaign-wide: loadgen cells use their own row
-  std::vector<CellOutcome> matrix_cells_;  // buffered for kScenarioMatrix
+  bool loadgen_ = false;   // campaign-wide: loadgen cells use their own row
+  bool whitebox_ = false;  // campaign-wide: white-box cells, Table 3 row
+  std::vector<CellOutcome> buffered_;  // rendered again at finish()
 };
 
 /// Keeps every outcome in memory, in campaign order.

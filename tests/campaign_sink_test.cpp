@@ -151,5 +151,58 @@ TEST(CampaignSinks, LoadgenCsvMatchesGolden) {
   EXPECT_EQ(out.str(), read_golden("loadgen_rows.csv"));
 }
 
+// Scenario-matrix headers size each column to its longest label, so labels
+// sharing a 12-character prefix stay distinguishable.
+TEST(CampaignSinks, AsciiMatrixHeaderKeepsFullLabels) {
+  CampaignSpec spec;
+  spec.name = "matrix";
+  spec.ascii_layout = AsciiLayout::kScenarioMatrix;
+  std::ostringstream out;
+  AsciiSink sink(out);
+  sink.begin(spec, RunnerOptions{});
+  for (const char* label :
+       {"High Delay (1s RTT)", "High Delay (1s RTT) +HRR"}) {
+    CellOutcome o = ok_outcome();
+    o.cell.scenario = label;
+    sink.cell(o);
+  }
+  sink.finish();
+  // Line 1 is the campaign title, line 2 the column header.
+  std::string text = out.str();
+  std::size_t start = text.find('\n') + 1;
+  std::string header = text.substr(start, text.find('\n', start) - start);
+  EXPECT_NE(header.find(" High Delay (1s RTT) "), std::string::npos)
+      << header;
+  EXPECT_NE(header.find(" High Delay (1s RTT) +HRR"), std::string::npos)
+      << header;
+}
+
+// White-box campaigns render Table 3's columns, the library distribution
+// and the section 5.5 worst-asymmetry lines instead of Table 2's columns.
+TEST(CampaignSinks, AsciiWhiteBoxRendersTable3Columns) {
+  CellOutcome o = ok_outcome();
+  o.cell.config.white_box = true;
+  o.result.server_cpu_ms = 3.0;
+  o.result.client_cpu_ms = 0.5;
+  CampaignSpec spec;
+  spec.name = "whitebox";
+  spec.cells.push_back(o.cell);
+  std::ostringstream out;
+  AsciiSink sink(out);
+  sink.begin(spec, RunnerOptions{});
+  sink.cell(o);
+  sink.finish();
+  std::string text = out.str();
+  EXPECT_NE(text.find("SrvCPU ms"), std::string::npos) << text;
+  EXPECT_EQ(text.find("A med(ms)"), std::string::npos) << text;
+  EXPECT_NE(text.find("Library distribution"), std::string::npos) << text;
+  EXPECT_NE(text.find("Worst amplification factor: 4.6x (x25519/rsa:2048)"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("CPU asymmetry: 6.0x (x25519/rsa:2048)"),
+            std::string::npos)
+      << text;
+}
+
 }  // namespace
 }  // namespace pqtls::campaign

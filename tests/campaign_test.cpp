@@ -7,8 +7,10 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 
 #include "campaign/campaign.hpp"
+#include "campaign/matrix.hpp"
 #include "campaign/options.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/sinks.hpp"
@@ -32,9 +34,17 @@ TEST(CampaignSpecs, WellFormedRegistry) {
   EXPECT_EQ(find_campaign("table3")->cells.size(), 8u);
   EXPECT_EQ(find_campaign("table4a")->cells.size(), 23u * 6u);
   EXPECT_EQ(find_campaign("table4b")->cells.size(), 24u * 6u);
-  EXPECT_EQ(find_campaign("fig3")->cells.size(), 2u * (30u + 15u + 16u));
+  // fig3 = both buffering modes x (the 30 + 15 + 16 level grids plus 22
+  // deviation baselines not already in a grid).
+  EXPECT_EQ(find_campaign("fig3")->cells.size(),
+            2u * (30u + 15u + 16u + 22u));
   // fig4 = 23 KAs + 23 SAs minus the shared x25519/rsa:2048 cell.
   EXPECT_EQ(find_campaign("fig4")->cells.size(), 45u);
+  EXPECT_EQ(find_campaign("sec55")->cells.size(), 23u);
+  EXPECT_EQ(find_campaign("all_sphincs")->cells.size(), 6u);
+  EXPECT_EQ(find_campaign("ablation_hrr")->cells.size(), 4u * 3u * 2u);
+  EXPECT_EQ(find_campaign("ablation_initial_cwnd")->cells.size(), 6u * 5u);
+  EXPECT_EQ(find_campaign("trace_smoke")->cells.size(), 5u);
   EXPECT_EQ(find_campaign("nope"), nullptr);
 
   for (const auto& spec : campaigns()) {
@@ -46,6 +56,29 @@ TEST(CampaignSpecs, WellFormedRegistry) {
       EXPECT_FALSE(cell.config.ka.empty());
       EXPECT_FALSE(cell.config.sa.empty());
       EXPECT_GT(cell.config.sample_handshakes, 0);
+    }
+  }
+}
+
+// Figure 3's independence prediction E(k,s) = M(k, rsa:2048) +
+// M(x25519, s) - M(x25519, rsa:2048) must be computable from fig3's own
+// rows, per buffering mode.
+TEST(CampaignSpecs, Fig3HasEveryDeviationBaseline) {
+  std::set<std::tuple<std::string, std::string, tls::Buffering>> measured;
+  for (const auto& cell : find_campaign("fig3")->cells)
+    measured.emplace(cell.config.ka, cell.config.sa, cell.config.buffering);
+  for (const auto& level : fig3_levels()) {
+    for (tls::Buffering mode :
+         {tls::Buffering::kDefault, tls::Buffering::kImmediate}) {
+      for (const char* ka : level.kas) {
+        for (const char* sa : level.sas) {
+          SCOPED_TRACE(std::string(level.label) + " " + ka + "/" + sa);
+          EXPECT_TRUE(measured.count({ka, sa, mode}));
+          EXPECT_TRUE(measured.count({ka, "rsa:2048", mode}));
+          EXPECT_TRUE(measured.count({"x25519", sa, mode}));
+          EXPECT_TRUE(measured.count({"x25519", "rsa:2048", mode}));
+        }
+      }
     }
   }
 }
@@ -68,6 +101,13 @@ TEST(CampaignOptions, RejectsNonPositiveInput) {
   EXPECT_EQ(positive_int_or(nullptr, 5, "test"), 5);
   EXPECT_EQ(u64_or("0", 9, "test"), 0u);
   EXPECT_EQ(u64_or("junk", 9, "test"), 9u);
+  EXPECT_EQ(double_or("2.5", 7, "test"), 2.5);
+  EXPECT_EQ(double_or("0", 7, "test"), 0.0);  // non-negative, not positive
+  EXPECT_EQ(double_or("-1", 7, "test"), 7.0);
+  EXPECT_EQ(double_or("abc", 7, "test"), 7.0);
+  EXPECT_EQ(double_or("nan", 7, "test"), 7.0);
+  EXPECT_EQ(double_or("inf", 7, "test"), 7.0);
+  EXPECT_EQ(double_or(nullptr, 7, "test"), 7.0);
 }
 
 CampaignSpec tiny_spec() {

@@ -11,7 +11,6 @@
 // --measured for the paper-fidelity wall-time clock. Exit code: 0 = all
 // cells ok, 1 = usage error, 2 = at least one cell failed or timed out.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -196,8 +195,9 @@ int main(int argc, char** argv) {
       opts.time_model = testbed::TimeModel::kMeasured;
     } else if (arg == "--max-cell-seconds") {
       const char* v = value();
-      opts.max_cell_seconds =
-          v ? std::atof(v) : opts.max_cell_seconds;
+      if (!v) return usage(argv[0]);
+      opts.max_cell_seconds = campaign::double_or(v, opts.max_cell_seconds,
+                                                  "--max-cell-seconds");
     } else if (arg == "--trace-dir") {
       const char* v = value();
       if (!v) return usage(argv[0]);

@@ -36,6 +36,7 @@
 namespace {
 
 using namespace pqtls;
+using campaign::double_or;
 
 int usage(const char* argv0) {
   std::fprintf(
@@ -112,17 +113,6 @@ campaign::CellOutcome as_outcome(const std::string& id,
   o.load = metrics;
   if (!metrics.ok) o.error = "no handshake completed in the window";
   return o;
-}
-
-double double_or(const char* text, double fallback, const char* what) {
-  if (!text) return fallback;
-  char* end = nullptr;
-  double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || v < 0) {
-    std::fprintf(stderr, "ignoring non-numeric %s '%s'\n", what, text);
-    return fallback;
-  }
-  return v;
 }
 
 // "--churn R[:LIFE]": arrival rate, optional mean lifetime.
