@@ -18,7 +18,9 @@
 #include <array>
 #include <concepts>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "crypto/bytes.hpp"
 
@@ -76,6 +78,13 @@ inline void wipe(Bytes& b) { wipe(b.data(), b.size()); }
 template <typename T, std::size_t N>
 inline void wipe(std::array<T, N>& a) {
   wipe(a.data(), N * sizeof(T));
+}
+
+/// Any vector of plain values, e.g. a vector of polynomials.
+template <typename T>
+  requires std::is_trivially_copyable_v<T>
+inline void wipe(std::vector<T>& v) {
+  wipe(v.data(), v.size() * sizeof(T));
 }
 
 /// RAII guard: wipes the referenced buffer when the scope exits, covering

@@ -282,28 +282,55 @@ std::size_t chain_encoded_size(const ChainProfile& profile,
   return total;
 }
 
-bool verify_chain(const CertificateChain& chain, const Certificate& root,
+TrustAnchor::TrustAnchor() : state_(std::make_shared<State>()) {}
+
+TrustAnchor::TrustAnchor(Certificate root) {
+  auto state = std::make_shared<State>();
+  state->root = std::move(root);
+  const Certificate& cert = state->root;
+  const sig::Signer* key_signer = catalog_signer(cert.key_algorithm);
+  if (key_signer)
+    state->public_key =
+        key_signer->load_verifying_key(cert.subject_public_key);
+  // A self-signed root (the usual case) checks itself with the key just
+  // loaded.
+  const sig::Signer* self_signer = catalog_signer(cert.signature_algorithm);
+  if (self_signer)
+    state->self_signature_valid =
+        self_signer == key_signer
+            ? self_signer->verify_with(*state->public_key, cert.tbs(),
+                                       cert.signature)
+            : self_signer->verify(cert.subject_public_key, cert.tbs(),
+                                  cert.signature);
+  state_ = std::move(state);
+}
+
+bool verify_chain(const CertificateChain& chain, const TrustAnchor& anchor,
                   std::uint64_t now) {
-  if (chain.certificates.empty()) return false;
+  if (!anchor.self_signature_valid() || chain.certificates.empty())
+    return false;
+  const Certificate& root = anchor.certificate();
   for (std::size_t i = 0; i < chain.certificates.size(); ++i) {
     const Certificate& cert = chain.certificates[i];
     if (now < cert.not_before || now > cert.not_after) return false;
-    const Certificate* issuer = (i + 1 < chain.certificates.size())
-                                    ? &chain.certificates[i + 1]
-                                    : &root;
-    if (cert.issuer != issuer->subject) return false;
+    const bool last = i + 1 == chain.certificates.size();
+    const Certificate& issuer = last ? root : chain.certificates[i + 1];
+    if (cert.issuer != issuer.subject) return false;
     const sig::Signer* signer = catalog_signer(cert.signature_algorithm);
-    if (!signer || signer->name() != issuer->key_algorithm) return false;
-    if (!signer->verify(issuer->subject_public_key, cert.tbs(),
-                        cert.signature))
-      return false;
+    if (!signer || signer->name() != issuer.key_algorithm) return false;
+    // The anchor's key was loaded by the same catalog signer.
+    bool ok = last ? signer->verify_with(*anchor.public_key(), cert.tbs(),
+                                         cert.signature)
+                   : signer->verify(issuer.subject_public_key, cert.tbs(),
+                                    cert.signature);
+    if (!ok) return false;
   }
-  // The last chain certificate must be the root itself or directly issued
-  // by it; verify the root's self-signature too.
-  const sig::Signer* root_signer = catalog_signer(root.signature_algorithm);
-  if (!root_signer) return false;
-  return root_signer->verify(root.subject_public_key, root.tbs(),
-                             root.signature);
+  return true;
+}
+
+bool verify_chain(const CertificateChain& chain, const Certificate& root,
+                  std::uint64_t now) {
+  return verify_chain(chain, TrustAnchor(root), now);
 }
 
 }  // namespace pqtls::pki

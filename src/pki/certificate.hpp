@@ -5,6 +5,7 @@
 // Certificate-message volumes match the paper's Table 2 data.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -54,8 +55,44 @@ Certificate issue_certificate(const CertificateAuthority& ca,
                               const std::string& key_algorithm,
                               BytesView subject_public_key, sig::Drbg& rng);
 
-/// Verify a leaf-first chain against a trusted root certificate: signatures,
-/// issuer linkage, and validity at `now`.
+/// A trusted root, checked and loaded once. Building an anchor verifies the
+/// root's self-signature and loads its public key, so verify_chain spends
+/// no per-chain work on the root itself: RFC 5280 §6.1 takes the trust
+/// anchor as an input to path validation, not as a certificate on the path,
+/// and OpenSSL checks a trusted root's self-signature only under
+/// X509_V_FLAG_CHECK_SS_SIGNATURE. A default-constructed anchor trusts
+/// nothing.
+class TrustAnchor {
+ public:
+  TrustAnchor();
+  explicit TrustAnchor(Certificate root);
+
+  const Certificate& certificate() const { return state_->root; }
+  /// Whether the root's self-signature verified when the anchor was built.
+  bool self_signature_valid() const { return state_->self_signature_valid; }
+  /// The root's public key loaded by its key algorithm; null when that
+  /// algorithm is not in the catalog.
+  const sig::VerifyingKey* public_key() const {
+    return state_->public_key.get();
+  }
+
+ private:
+  // Immutable once built, so copies of an anchor (one per client config
+  // and connection) share it.
+  struct State {
+    Certificate root;
+    std::shared_ptr<const sig::VerifyingKey> public_key;
+    bool self_signature_valid = false;
+  };
+  std::shared_ptr<const State> state_;
+};
+
+/// Verify a leaf-first chain against a trust anchor: signatures, issuer
+/// linkage, and validity at `now`. False whenever the anchor's own
+/// self-signature was bad.
+bool verify_chain(const CertificateChain& chain, const TrustAnchor& anchor,
+                  std::uint64_t now);
+/// The same against a bare root certificate, checked on every call.
 bool verify_chain(const CertificateChain& chain, const Certificate& root,
                   std::uint64_t now);
 

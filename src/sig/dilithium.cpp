@@ -100,14 +100,21 @@ std::int32_t use_hint(std::int32_t a, bool hint, std::int32_t gamma2) {
 Poly sample_in_ball(BytesView c_tilde, int tau) {
   Shake xof(256);
   xof.absorb(c_tilde);
-  std::uint8_t signs_buf[8];
-  xof.squeeze(signs_buf, 8);
-  std::uint64_t signs = load_le64(signs_buf);
+  // Squeezed a SHAKE256 block at a time: the same byte stream as squeezing
+  // the 8 sign bytes and then one byte per draw.
+  std::uint8_t buf[136];
+  xof.squeeze(buf, sizeof buf);
+  std::uint64_t signs = load_le64(buf);
+  std::size_t pos = 8;
   Poly c{};
   for (int i = kN - tau; i < kN; ++i) {
     std::uint8_t j;
     do {
-      xof.squeeze(&j, 1);
+      if (pos == sizeof buf) {
+        xof.squeeze(buf, sizeof buf);
+        pos = 0;
+      }
+      j = buf[pos++];
     } while (j > i);
     c[i] = c[j];
     c[j] = (signs & 1) ? kQ - 1 : 1;
@@ -503,37 +510,87 @@ SigKeyPair DilithiumSigner::generate_keypair(Drbg& rng) const {
   return {pk, sk};
 }
 
-Bytes DilithiumSigner::sign(BytesView secret_key, BytesView message,
-                            Drbg& rng) const {
-  (void)rng;  // deterministic signing per the round-3 default
+namespace {
+
+// Everything signing needs that depends on the secret key alone (FIPS 204
+// permits precomputing it): K, tr, the expanded matrix A and the NTTs of
+// s1, s2 and t0. Loading it once takes ExpandA and the 17 (dilithium3)
+// secret NTTs out of every signature.
+struct DilithiumSigningKey final : SigningKey {
+  using SigningKey::SigningKey;
+  ~DilithiumSigningKey() override {
+    ct::wipe(key);
+    ct::wipe(s1_hat);
+    ct::wipe(s2_hat);
+    ct::wipe(t0_hat);
+  }
+
+  Bytes key;  // CT_SECRET
+  Bytes tr;
+  PolyVec a_hat;  // row-major: a_hat[i * l + j]
+  PolyVec s1_hat, s2_hat, t0_hat;  // CT_SECRET: s1_hat, s2_hat, t0_hat
+};
+
+// Public-key-only verification state: the expanded matrix A, the NTT of
+// t1 * 2^d, and tr = H(pk). Empty (verifying nothing) for a public key of
+// the wrong length.
+struct DilithiumVerifyingKey final : VerifyingKey {
+  using VerifyingKey::VerifyingKey;
+
+  PolyVec a;       // row-major: a[i * l + j]
+  PolyVec t1_hat;  // per i: NTT(t1[i] << d)
+  Bytes tr;        // H(pk, 32)
+};
+
+}  // namespace
+
+std::shared_ptr<const SigningKey> DilithiumSigner::load_signing_key(
+    BytesView secret_key) const {
+  if (secret_key.size() != secret_key_size())
+    throw std::invalid_argument(name_ + ": secret key must be " +
+                                std::to_string(secret_key_size()) + " bytes");
+  auto loaded = std::make_shared<DilithiumSigningKey>(*this);
   std::size_t eta_bytes = eta_ == 2 ? 96 : 128;
   std::size_t off = 0;
   BytesView rho = secret_key.subspan(off, 32); off += 32;
   BytesView key = secret_key.subspan(off, 32); off += 32;
   BytesView tr = secret_key.subspan(off, 32); off += 32;
-  PolyVec s1(l_), s2(k_), t0(k_);
-  for (int i = 0; i < l_; ++i) {
-    s1[i] = unpack_eta(secret_key.subspan(off, eta_bytes), eta_);
+  loaded->key.assign(key.begin(), key.end());
+  loaded->tr.assign(tr.begin(), tr.end());
+  loaded->a_hat = expand_matrix(use_aes_, rho, k_, l_);
+  loaded->s1_hat.resize(l_);
+  loaded->s2_hat.resize(k_);
+  loaded->t0_hat.resize(k_);
+  for (auto& p : loaded->s1_hat) {
+    p = unpack_eta(secret_key.subspan(off, eta_bytes), eta_);
+    ntt(p);
     off += eta_bytes;
   }
-  for (int i = 0; i < k_; ++i) {
-    s2[i] = unpack_eta(secret_key.subspan(off, eta_bytes), eta_);
+  for (auto& p : loaded->s2_hat) {
+    p = unpack_eta(secret_key.subspan(off, eta_bytes), eta_);
+    ntt(p);
     off += eta_bytes;
   }
-  for (int i = 0; i < k_; ++i) {
-    t0[i] = unpack_t0(secret_key.subspan(off, 416));
+  for (auto& p : loaded->t0_hat) {
+    p = unpack_t0(secret_key.subspan(off, 416));
+    ntt(p);
     off += 416;
   }
+  return loaded;
+}
 
-  Bytes mu = crypto::shake256(concat(tr, message), 64);
-  Bytes rho_prime = crypto::shake256(concat(key, mu), 64);
+Bytes DilithiumSigner::sign(BytesView secret_key, BytesView message,
+                            Drbg& rng) const {
+  return sign_with(*load_signing_key(secret_key), message, rng);
+}
 
-  // Precompute NTT-domain quantities.
-  const PolyVec a_hat = expand_matrix(use_aes_, rho, k_, l_);
-  PolyVec s1_hat = s1, s2_hat = s2, t0_hat = t0;
-  for (auto& p : s1_hat) ntt(p);
-  for (auto& p : s2_hat) ntt(p);
-  for (auto& p : t0_hat) ntt(p);
+Bytes DilithiumSigner::sign_with(const SigningKey& signing_key,
+                                 BytesView message, Drbg& rng) const {
+  (void)rng;  // deterministic signing per the round-3 default
+  const auto& sk = own<DilithiumSigningKey>(signing_key);
+
+  Bytes mu = crypto::shake256(concat(sk.tr, message), 64);
+  Bytes rho_prime = crypto::shake256(concat(sk.key, mu), 64);
 
   for (std::uint16_t kappa = 0;; kappa = static_cast<std::uint16_t>(kappa + l_)) {
     PolyVec y(l_);
@@ -545,8 +602,8 @@ Bytes DilithiumSigner::sign(BytesView secret_key, BytesView message,
     for (int i = 0; i < k_; ++i) {
       Poly acc{};
       for (int j = 0; j < l_; ++j)
-        poly_pointwise_acc(acc, a_hat[static_cast<std::size_t>(i) * l_ + j],
-                           y_hat[j]);
+        poly_pointwise_acc(
+            acc, sk.a_hat[static_cast<std::size_t>(i) * l_ + j], y_hat[j]);
       invntt(acc);
       w[i] = acc;
     }
@@ -572,7 +629,7 @@ Bytes DilithiumSigner::sign(BytesView secret_key, BytesView message,
     bool reject = false;
     for (int i = 0; i < l_; ++i) {
       Poly cs1{};
-      poly_pointwise_acc(cs1, c_hat, s1_hat[i]);
+      poly_pointwise_acc(cs1, c_hat, sk.s1_hat[i]);
       invntt(cs1);
       z[i] = y[i];
       poly_add(z[i], cs1);
@@ -587,7 +644,7 @@ Bytes DilithiumSigner::sign(BytesView secret_key, BytesView message,
     PolyVec w_cs2(k_);
     for (int i = 0; i < k_; ++i) {
       Poly cs2{};
-      poly_pointwise_acc(cs2, c_hat, s2_hat[i]);
+      poly_pointwise_acc(cs2, c_hat, sk.s2_hat[i]);
       invntt(cs2);
       w_cs2[i] = w[i];
       poly_sub(w_cs2[i], cs2);
@@ -608,7 +665,7 @@ Bytes DilithiumSigner::sign(BytesView secret_key, BytesView message,
     int hint_weight = 0;
     for (int i = 0; i < k_ && !reject; ++i) {
       Poly ct0{};
-      poly_pointwise_acc(ct0, c_hat, t0_hat[i]);
+      poly_pointwise_acc(ct0, c_hat, sk.t0_hat[i]);
       invntt(ct0);
       if (inf_norm(ct0) >= gamma2_) {
         reject = true;
@@ -634,64 +691,57 @@ Bytes DilithiumSigner::sign(BytesView secret_key, BytesView message,
   }
 }
 
-namespace {
-
-// Public-key-only verification state, reusable across a batch: the
-// expanded matrix A, the NTT of t1 * 2^d, and tr = H(pk). Everything here
-// is a deterministic function of the public key alone, so hoisting it out
-// of the per-signature path cannot change any verdict.
-struct VerifyCtx {
-  PolyVec a;       // row-major: a[i * l + j]
-  PolyVec t1_hat;  // per i: NTT(t1[i] << d)
-  Bytes tr;        // H(pk, 32)
-};
-
-VerifyCtx build_verify_ctx(bool use_aes, BytesView public_key, int k, int l) {
-  VerifyCtx ctx;
+std::shared_ptr<const VerifyingKey> DilithiumSigner::load_verifying_key(
+    BytesView public_key) const {
+  auto loaded = std::make_shared<DilithiumVerifyingKey>(*this);
+  if (public_key.size() != public_key_size()) return loaded;
   BytesView rho = public_key.subspan(0, 32);
-  ctx.a = expand_matrix(use_aes, rho, k, l);
-  ctx.t1_hat.resize(k);
-  for (int i = 0; i < k; ++i) {
+  loaded->a = expand_matrix(use_aes_, rho, k_, l_);
+  loaded->t1_hat.resize(k_);
+  for (int i = 0; i < k_; ++i) {
     Poly t1 = unpack_t1(public_key.subspan(32 + 320 * i, 320));
     for (auto& cc : t1) cc = freduce(static_cast<std::int64_t>(cc) << kD);
     ntt(t1);
-    ctx.t1_hat[i] = t1;
+    loaded->t1_hat[i] = t1;
   }
-  ctx.tr = crypto::shake256(public_key, 32);
-  return ctx;
+  loaded->tr = crypto::shake256(public_key, 32);
+  return loaded;
 }
 
-struct VerifyParams {
-  int k, l, tau, beta, omega;
-  std::int32_t gamma1, gamma2;
-};
+bool DilithiumSigner::verify(BytesView public_key, BytesView message,
+                             BytesView signature) const {
+  return verify_with(*load_verifying_key(public_key), message, signature);
+}
 
-bool verify_one(const VerifyCtx& ctx, const VerifyParams& vp,
-                BytesView message, BytesView signature) {
-  std::size_t z_bytes = vp.gamma1 == (1 << 17) ? 576 : 640;
+bool DilithiumSigner::verify_with(const VerifyingKey& verifying_key,
+                                  BytesView message,
+                                  BytesView signature) const {
+  const auto& ctx = own<DilithiumVerifyingKey>(verifying_key);
+  if (ctx.a.empty() || signature.size() != signature_size()) return false;
+  std::size_t z_bytes = gamma1_ == (1 << 17) ? 576 : 640;
   BytesView c_tilde = signature.subspan(0, 32);
-  PolyVec z(vp.l);
-  for (int i = 0; i < vp.l; ++i) {
-    z[i] = unpack_z(signature.subspan(32 + i * z_bytes, z_bytes), vp.gamma1);
-    if (inf_norm(z[i]) >= vp.gamma1 - vp.beta) return false;
+  PolyVec z(l_);
+  for (int i = 0; i < l_; ++i) {
+    z[i] = unpack_z(signature.subspan(32 + i * z_bytes, z_bytes), gamma1_);
+    if (inf_norm(z[i]) >= gamma1_ - beta_) return false;
   }
   std::vector<std::array<bool, kN>> h;
-  if (!unpack_hints(signature.subspan(32 + vp.l * z_bytes), vp.omega, vp.k, h))
+  if (!unpack_hints(signature.subspan(32 + l_ * z_bytes), omega_, k_, h))
     return false;
 
   Bytes mu = crypto::shake256(concat(ctx.tr, message), 64);
-  Poly c = sample_in_ball(c_tilde, vp.tau);
+  Poly c = sample_in_ball(c_tilde, tau_);
   Poly c_hat = c;
   ntt(c_hat);
 
   PolyVec z_hat = z;
   for (auto& p : z_hat) ntt(p);
 
-  PolyVec w1(vp.k);
-  for (int i = 0; i < vp.k; ++i) {
+  PolyVec w1(k_);
+  for (int i = 0; i < k_; ++i) {
     Poly acc{};
-    for (int j = 0; j < vp.l; ++j)
-      poly_pointwise_acc(acc, ctx.a[static_cast<std::size_t>(i) * vp.l + j],
+    for (int j = 0; j < l_; ++j)
+      poly_pointwise_acc(acc, ctx.a[static_cast<std::size_t>(i) * l_ + j],
                          z_hat[j]);
     // acc -= c * t1 * 2^d
     Poly ct1{};
@@ -700,41 +750,13 @@ bool verify_one(const VerifyCtx& ctx, const VerifyParams& vp,
       acc[cc] = freduce(static_cast<std::int64_t>(acc[cc]) - ct1[cc]);
     invntt(acc);
     for (int cc = 0; cc < kN; ++cc)
-      w1[i][cc] = use_hint(acc[cc], h[i][cc], vp.gamma2);
+      w1[i][cc] = use_hint(acc[cc], h[i][cc], gamma2_);
   }
 
   Bytes w1_packed;
-  for (const auto& p : w1) pack_w1(w1_packed, p, vp.gamma2);
+  for (const auto& p : w1) pack_w1(w1_packed, p, gamma2_);
   Bytes expected = crypto::shake256(concat(mu, w1_packed), 32);
   return ct::equal(expected, c_tilde);
-}
-
-}  // namespace
-
-bool DilithiumSigner::verify(BytesView public_key, BytesView message,
-                             BytesView signature) const {
-  if (public_key.size() != public_key_size() ||
-      signature.size() != signature_size())
-    return false;
-  VerifyCtx ctx = build_verify_ctx(use_aes_, public_key, k_, l_);
-  VerifyParams vp{k_, l_, tau_, beta_, omega_, gamma1_, gamma2_};
-  return verify_one(ctx, vp, message, signature);
-}
-
-std::vector<std::uint8_t> DilithiumSigner::verify_batch(
-    BytesView public_key, const std::vector<BytesView>& messages,
-    const std::vector<BytesView>& signatures) const {
-  std::size_t n = std::min(messages.size(), signatures.size());
-  std::vector<std::uint8_t> out(n, 0);
-  if (public_key.size() != public_key_size()) return out;
-  // Matrix expansion, the t1 NTTs, and H(pk) amortize across the batch.
-  VerifyCtx ctx = build_verify_ctx(use_aes_, public_key, k_, l_);
-  VerifyParams vp{k_, l_, tau_, beta_, omega_, gamma1_, gamma2_};
-  for (std::size_t i = 0; i < n; ++i) {
-    if (signatures[i].size() != signature_size()) continue;
-    out[i] = verify_one(ctx, vp, messages[i], signatures[i]) ? 1 : 0;
-  }
-  return out;
 }
 
 const DilithiumSigner& DilithiumSigner::dilithium2() {

@@ -24,11 +24,16 @@ class DilithiumSigner final : public Signer {
   Bytes sign(BytesView secret_key, BytesView message, Drbg& rng) const override;
   bool verify(BytesView public_key, BytesView message,
               BytesView signature) const override;
-  /// Amortizes matrix expansion, the t1 NTTs, and H(pk) across the batch;
-  /// verdicts match sequential verify() exactly.
-  std::vector<std::uint8_t> verify_batch(
-      BytesView public_key, const std::vector<BytesView>& messages,
-      const std::vector<BytesView>& signatures) const override;
+  /// Unpacks the key, expands A and takes the NTTs of s1, s2 and t0.
+  std::shared_ptr<const SigningKey> load_signing_key(
+      BytesView secret_key) const override;
+  Bytes sign_with(const SigningKey& key, BytesView message,
+                  Drbg& rng) const override;
+  /// Expands A and takes the NTTs of t1 * 2^d; hashes tr = H(pk).
+  std::shared_ptr<const VerifyingKey> load_verifying_key(
+      BytesView public_key) const override;
+  bool verify_with(const VerifyingKey& key, BytesView message,
+                   BytesView signature) const override;
 
   static const DilithiumSigner& dilithium2();
   static const DilithiumSigner& dilithium3();

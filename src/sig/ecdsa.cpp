@@ -1,5 +1,7 @@
 #include "sig/ecdsa.hpp"
 
+#include <stdexcept>
+
 #include "crypto/sha2.hpp"
 
 namespace pqtls::sig {
@@ -44,6 +46,9 @@ SigKeyPair EcdsaSigner::generate_keypair(Drbg& rng) const {
 
 Bytes EcdsaSigner::sign(BytesView secret_key, BytesView message,
                         Drbg& rng) const {
+  if (secret_key.size() != secret_key_size())
+    throw std::invalid_argument(name_ + ": secret key must be " +
+                                std::to_string(secret_key_size()) + " bytes");
   const BigInt& n = curve_.order();
   std::size_t scalar_len = (n.bit_length() + 7) / 8;
   BigInt d = BigInt::from_bytes_be(secret_key);

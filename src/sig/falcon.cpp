@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "crypto/bignum.hpp"
+#include "crypto/ct.hpp"
 #include "crypto/keccak.hpp"
 
 namespace pqtls::sig {
@@ -711,24 +712,72 @@ SigKeyPair FalconSigner::generate_keypair(Drbg& rng) const {
   }
 }
 
+namespace {
+
+// The secret basis B = [[g, -f], [G, -F]] mod q and in FFT representation:
+// everything signing needs from the secret key, computed once at load.
+struct FalconSigningKey final : SigningKey {
+  using SigningKey::SigningKey;
+  ~FalconSigningKey() override {
+    ct::wipe(fq);
+    ct::wipe(gq);
+    ct::wipe(Fq);
+    ct::wipe(Gq);
+    ct::wipe(f_fft);
+    ct::wipe(g_fft);
+    ct::wipe(F_fft);
+    ct::wipe(G_fft);
+  }
+
+  QPoly fq, gq, Fq, Gq;  // CT_SECRET: fq, gq, Fq, Gq
+  std::vector<Cplx> f_fft, g_fft;  // CT_SECRET: f_fft, g_fft
+  std::vector<Cplx> F_fft, G_fft;  // CT_SECRET: F_fft, G_fft
+};
+
+// The public key h = g / f mod q; empty (verifying nothing) when the
+// encoding is malformed.
+struct FalconVerifyingKey final : VerifyingKey {
+  using VerifyingKey::VerifyingKey;
+
+  QPoly h;
+};
+
+}  // namespace
+
+std::shared_ptr<const SigningKey> FalconSigner::load_signing_key(
+    BytesView secret_key) const {
+  if (secret_key.size() != secret_key_size())
+    throw std::invalid_argument(name_ + ": secret key must be " +
+                                std::to_string(secret_key_size()) + " bytes");
+  auto loaded = std::make_shared<FalconSigningKey>(*this);
+  // Unpack one basis polynomial: mod q, and its FFT (exact small integers).
+  auto load = [&](std::size_t index, QPoly& q, std::vector<Cplx>& fft) {
+    auto v = unpack_sk(secret_key.subspan(1 + 2 * n_ * index, 2 * n_), n_);
+    q.resize(n_);
+    std::vector<double> d(n_);
+    for (std::size_t i = 0; i < n_; ++i) {
+      q[i] = qreduce(v[i]);
+      d[i] = static_cast<double>(v[i]);
+    }
+    fft = fft_nega(d);
+    ct::wipe(v);
+    ct::wipe(d);
+  };
+  load(0, loaded->fq, loaded->f_fft);
+  load(1, loaded->gq, loaded->g_fft);
+  load(2, loaded->Fq, loaded->F_fft);
+  load(3, loaded->Gq, loaded->G_fft);
+  return loaded;
+}
+
 Bytes FalconSigner::sign(BytesView secret_key, BytesView message,
                          Drbg& rng) const {
-  auto f = unpack_sk(secret_key.subspan(1, 2 * n_), n_);
-  auto g = unpack_sk(secret_key.subspan(1 + 2 * n_, 2 * n_), n_);
-  auto F = unpack_sk(secret_key.subspan(1 + 4 * n_, 2 * n_), n_);
-  auto G = unpack_sk(secret_key.subspan(1 + 6 * n_, 2 * n_), n_);
+  return sign_with(*load_signing_key(secret_key), message, rng);
+}
 
-  // FFT of the basis (exact small integers).
-  auto to_fft = [this](const std::vector<std::int16_t>& v) {
-    std::vector<double> d(n_);
-    for (std::size_t i = 0; i < n_; ++i) d[i] = static_cast<double>(v[i]);
-    return fft_nega(d);
-  };
-  auto f_fft = to_fft(f);
-  auto g_fft = to_fft(g);
-  auto F_fft = to_fft(F);
-  auto G_fft = to_fft(G);
-
+Bytes FalconSigner::sign_with(const SigningKey& signing_key, BytesView message,
+                              Drbg& rng) const {
+  const auto& sk = own<FalconSigningKey>(signing_key);
   for (int attempt = 0; attempt < 64; ++attempt) {
     Bytes salt = rng.bytes(40);
     QPoly c = hash_to_point(salt, message, n_);
@@ -741,8 +790,8 @@ Bytes FalconSigner::sign(BytesView secret_key, BytesView message,
     // the secret basis B = [[g, -f], [G, -F]].
     std::vector<Cplx> t0(n_), t1(n_);
     for (std::size_t i = 0; i < n_; ++i) {
-      t0[i] = -c_fft[i] * F_fft[i] / static_cast<double>(kQ);
-      t1[i] = c_fft[i] * f_fft[i] / static_cast<double>(kQ);
+      t0[i] = -c_fft[i] * sk.F_fft[i] / static_cast<double>(kQ);
+      t1[i] = c_fft[i] * sk.f_fft[i] / static_cast<double>(kQ);
     }
     // Babai nearest-plane over the two basis rows (the ffSampling recursion
     // with deterministic rounding at the leaves; see header comment):
@@ -757,9 +806,9 @@ Bytes FalconSigner::sign(BytesView secret_key, BytesView message,
     }
     auto z1_fft = fft_nega(z1d);
     for (std::size_t i = 0; i < n_; ++i) {
-      Cplx mu = (G_fft[i] * std::conj(g_fft[i]) +
-                 F_fft[i] * std::conj(f_fft[i])) /
-                (std::norm(g_fft[i]) + std::norm(f_fft[i]));
+      Cplx mu = (sk.G_fft[i] * std::conj(sk.g_fft[i]) +
+                 sk.F_fft[i] * std::conj(sk.f_fft[i])) /
+                (std::norm(sk.g_fft[i]) + std::norm(sk.f_fft[i]));
       t0[i] += (t1[i] - z1_fft[i]) * mu;
     }
     auto z0d = ifft_nega(std::move(t0));
@@ -767,19 +816,15 @@ Bytes FalconSigner::sign(BytesView secret_key, BytesView message,
     for (std::size_t i = 0; i < n_; ++i) z0[i] = std::llround(z0d[i]);
 
     // s1 = c - (z0 g + z1 G) mod q (centered), s2 = z0 f + z1 F mod q.
-    QPoly z0q(n_), z1q(n_), gq(n_), Gq(n_), fq(n_), Fq(n_);
+    QPoly z0q(n_), z1q(n_);
     for (std::size_t i = 0; i < n_; ++i) {
       z0q[i] = qreduce(z0[i]);
       z1q[i] = qreduce(z1[i]);
-      gq[i] = qreduce(g[i]);
-      Gq[i] = qreduce(G[i]);
-      fq[i] = qreduce(f[i]);
-      Fq[i] = qreduce(F[i]);
     }
-    QPoly z0g = qmul(z0q, gq);
-    QPoly z1G = qmul(z1q, Gq);
-    QPoly z0f = qmul(z0q, fq);
-    QPoly z1F = qmul(z1q, Fq);
+    QPoly z0g = qmul(z0q, sk.gq);
+    QPoly z1G = qmul(z1q, sk.Gq);
+    QPoly z0f = qmul(z0q, sk.fq);
+    QPoly z1F = qmul(z1q, sk.Fq);
 
     std::vector<std::int32_t> s1(n_), s2(n_);
     std::int64_t norm = 0;
@@ -808,16 +853,27 @@ Bytes FalconSigner::sign(BytesView secret_key, BytesView message,
   throw std::runtime_error("Falcon signing failed repeatedly (bad key?)");
 }
 
+std::shared_ptr<const VerifyingKey> FalconSigner::load_verifying_key(
+    BytesView public_key) const {
+  auto loaded = std::make_shared<FalconVerifyingKey>(*this);
+  if (public_key.size() != public_key_size() ||
+      public_key[0] != (n_ == 512 ? 0x09 : 0x0a) ||
+      !unpack14(public_key.subspan(1), loaded->h, n_))
+    loaded->h.clear();
+  return loaded;
+}
+
 bool FalconSigner::verify(BytesView public_key, BytesView message,
                           BytesView signature) const {
-  if (public_key.size() != public_key_size() ||
-      signature.size() != signature_size())
-    return false;
-  if (public_key[0] != (n_ == 512 ? 0x09 : 0x0a)) return false;
+  return verify_with(*load_verifying_key(public_key), message, signature);
+}
+
+bool FalconSigner::verify_with(const VerifyingKey& verifying_key,
+                               BytesView message, BytesView signature) const {
+  const QPoly& h = own<FalconVerifyingKey>(verifying_key).h;
+  if (h.empty() || signature.size() != signature_size()) return false;
   if (signature[0] != 0x30 + (n_ == 512 ? 9 : 10)) return false;
 
-  QPoly h;
-  if (!unpack14(public_key.subspan(1), h, n_)) return false;
   BytesView salt = signature.subspan(1, 40);
   std::vector<std::int32_t> s2;
   if (!decompress_s2(signature.subspan(41), n_, s2)) return false;

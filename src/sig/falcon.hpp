@@ -28,6 +28,16 @@ class FalconSigner final : public Signer {
   Bytes sign(BytesView secret_key, BytesView message, Drbg& rng) const override;
   bool verify(BytesView public_key, BytesView message,
               BytesView signature) const override;
+  /// Unpacks f, g, F, G and takes their FFTs.
+  std::shared_ptr<const SigningKey> load_signing_key(
+      BytesView secret_key) const override;
+  Bytes sign_with(const SigningKey& key, BytesView message,
+                  Drbg& rng) const override;
+  /// Unpacks h.
+  std::shared_ptr<const VerifyingKey> load_verifying_key(
+      BytesView public_key) const override;
+  bool verify_with(const VerifyingKey& key, BytesView message,
+                   BytesView signature) const override;
 
   static const FalconSigner& falcon512();
   static const FalconSigner& falcon1024();

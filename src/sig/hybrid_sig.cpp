@@ -1,6 +1,7 @@
 #include "sig/hybrid_sig.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace pqtls::sig {
 
@@ -36,13 +37,46 @@ SigKeyPair HybridSigner::generate_keypair(Drbg& rng) const {
   return out;
 }
 
+namespace {
+
+// The components' loaded keys; the composite does no per-key work itself.
+struct HybridSigningKey final : SigningKey {
+  using SigningKey::SigningKey;
+
+  std::shared_ptr<const SigningKey> classical, pq;
+};
+
+// Null components (verifying nothing) when the composite encoding is
+// malformed.
+struct HybridVerifyingKey final : VerifyingKey {
+  using VerifyingKey::VerifyingKey;
+
+  std::shared_ptr<const VerifyingKey> classical, pq;
+};
+
+}  // namespace
+
+std::shared_ptr<const SigningKey> HybridSigner::load_signing_key(
+    BytesView secret_key) const {
+  if (secret_key.size() < 4 || 4 + get_len(secret_key) > secret_key.size())
+    throw std::invalid_argument(name_ + ": malformed composite secret key");
+  std::size_t c_len = get_len(secret_key);
+  auto loaded = std::make_shared<HybridSigningKey>(*this);
+  loaded->classical = classical_.load_signing_key(secret_key.subspan(4, c_len));
+  loaded->pq = pq_.load_signing_key(secret_key.subspan(4 + c_len));
+  return loaded;
+}
+
 Bytes HybridSigner::sign(BytesView secret_key, BytesView message,
                          Drbg& rng) const {
-  std::size_t c_len = get_len(secret_key);
-  BytesView c_sk = secret_key.subspan(4, c_len);
-  BytesView p_sk = secret_key.subspan(4 + c_len);
-  Bytes c_sig = classical_.sign(c_sk, message, rng);
-  Bytes p_sig = pq_.sign(p_sk, message, rng);
+  return sign_with(*load_signing_key(secret_key), message, rng);
+}
+
+Bytes HybridSigner::sign_with(const SigningKey& key, BytesView message,
+                              Drbg& rng) const {
+  const auto& sk = own<HybridSigningKey>(key);
+  Bytes c_sig = classical_.sign_with(*sk.classical, message, rng);
+  Bytes p_sig = pq_.sign_with(*sk.pq, message, rng);
   Bytes out;
   put_len(out, c_sig.size());
   append(out, c_sig);
@@ -52,14 +86,27 @@ Bytes HybridSigner::sign(BytesView secret_key, BytesView message,
   return out;
 }
 
+std::shared_ptr<const VerifyingKey> HybridSigner::load_verifying_key(
+    BytesView public_key) const {
+  auto loaded = std::make_shared<HybridVerifyingKey>(*this);
+  if (public_key.size() < 4 || 4 + get_len(public_key) > public_key.size())
+    return loaded;
+  std::size_t c_pk_len = get_len(public_key);
+  loaded->classical =
+      classical_.load_verifying_key(public_key.subspan(4, c_pk_len));
+  loaded->pq = pq_.load_verifying_key(public_key.subspan(4 + c_pk_len));
+  return loaded;
+}
+
 bool HybridSigner::verify(BytesView public_key, BytesView message,
                           BytesView signature) const {
-  if (public_key.size() < 4 || signature.size() != signature_size())
-    return false;
-  std::size_t c_pk_len = get_len(public_key);
-  if (4 + c_pk_len > public_key.size()) return false;
-  BytesView c_pk = public_key.subspan(4, c_pk_len);
-  BytesView p_pk = public_key.subspan(4 + c_pk_len);
+  return verify_with(*load_verifying_key(public_key), message, signature);
+}
+
+bool HybridSigner::verify_with(const VerifyingKey& key, BytesView message,
+                               BytesView signature) const {
+  const auto& pk = own<HybridVerifyingKey>(key);
+  if (!pk.classical || signature.size() != signature_size()) return false;
 
   std::size_t c_sig_len = get_len(signature);
   if (4 + c_sig_len + pq_.signature_size() > signature.size()) return false;
@@ -70,8 +117,8 @@ bool HybridSigner::verify(BytesView public_key, BytesView message,
        i < signature.size(); ++i)
     if (signature[i] != 0) return false;
 
-  return classical_.verify(c_pk, message, c_sig) &&
-         pq_.verify(p_pk, message, p_sig);
+  return classical_.verify_with(*pk.classical, message, c_sig) &&
+         pq_.verify_with(*pk.pq, message, p_sig);
 }
 
 }  // namespace pqtls::sig

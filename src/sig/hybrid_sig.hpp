@@ -33,6 +33,15 @@ class HybridSigner final : public Signer {
   Bytes sign(BytesView secret_key, BytesView message, Drbg& rng) const override;
   bool verify(BytesView public_key, BytesView message,
               BytesView signature) const override;
+  /// Splits the composite key and loads each component.
+  std::shared_ptr<const SigningKey> load_signing_key(
+      BytesView secret_key) const override;
+  Bytes sign_with(const SigningKey& key, BytesView message,
+                  Drbg& rng) const override;
+  std::shared_ptr<const VerifyingKey> load_verifying_key(
+      BytesView public_key) const override;
+  bool verify_with(const VerifyingKey& key, BytesView message,
+                   BytesView signature) const override;
 
  private:
   const Signer& classical_;

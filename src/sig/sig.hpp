@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,39 @@ using crypto::Drbg;
 struct SigKeyPair {
   Bytes public_key;
   Bytes secret_key;
+};
+
+class Signer;
+
+/// A secret key after its signer's per-key work (unpacking, expansion,
+/// NTT/FFT precomputation). Immutable once loaded, so one key may serve
+/// concurrent sign_with calls; it only signs under the signer that loaded it.
+class SigningKey {
+ public:
+  explicit SigningKey(const Signer& signer) : signer_(&signer) {}
+  virtual ~SigningKey() = default;
+  SigningKey(const SigningKey&) = delete;
+  SigningKey& operator=(const SigningKey&) = delete;
+
+  const Signer& signer() const { return *signer_; }
+
+ private:
+  const Signer* signer_;
+};
+
+/// A public key after its signer's per-key work; the verify-side twin of
+/// SigningKey. A malformed public key loads to one that verifies nothing.
+class VerifyingKey {
+ public:
+  explicit VerifyingKey(const Signer& signer) : signer_(&signer) {}
+  virtual ~VerifyingKey() = default;
+  VerifyingKey(const VerifyingKey&) = delete;
+  VerifyingKey& operator=(const VerifyingKey&) = delete;
+
+  const Signer& signer() const { return *signer_; }
+
+ private:
+  const Signer* signer_;
 };
 
 class Signer {
@@ -39,23 +73,48 @@ class Signer {
   virtual std::size_t signature_size() const = 0;
 
   virtual SigKeyPair generate_keypair(Drbg& rng) const = 0;
+  /// Throws std::invalid_argument on a malformed secret key.
   virtual Bytes sign(BytesView secret_key, BytesView message,
                      Drbg& rng) const = 0;
   virtual bool verify(BytesView public_key, BytesView message,
                       BytesView signature) const = 0;
 
+  /// Key-loading seam: do the per-key work once, then sign or verify any
+  /// number of messages with it. sign_with(*load_signing_key(sk), m, rng)
+  /// returns exactly sign(sk, m, rng) from the same DRBG state, and
+  /// verify_with(*load_verifying_key(pk), m, s) == verify(pk, m, s).
+  /// The defaults keep the raw bytes and call the byte API; schemes with
+  /// per-key work override all four and route the byte API through them.
+  ///
+  /// load_signing_key throws std::invalid_argument on a secret key of the
+  /// wrong length where the scheme checks at load; the defaults defer every
+  /// check to sign(). load_verifying_key never throws.
+  virtual std::shared_ptr<const SigningKey> load_signing_key(
+      BytesView secret_key) const;
+  /// Throws std::invalid_argument when `key` was loaded by another signer.
+  virtual Bytes sign_with(const SigningKey& key, BytesView message,
+                          Drbg& rng) const;
+  virtual std::shared_ptr<const VerifyingKey> load_verifying_key(
+      BytesView public_key) const;
+  virtual bool verify_with(const VerifyingKey& key, BytesView message,
+                           BytesView signature) const;
+
   /// Batch verification under one public key: element i is 1 iff
-  /// verify(public_key, messages[i], signatures[i]). Implementations may
-  /// amortize per-key work (matrix expansion, key hashing) across the
-  /// batch; results match sequential verification exactly.
-  virtual std::vector<std::uint8_t> verify_batch(
+  /// verify(public_key, messages[i], signatures[i]). The key is loaded
+  /// once for the whole batch.
+  std::vector<std::uint8_t> verify_batch(
       BytesView public_key, const std::vector<BytesView>& messages,
-      const std::vector<BytesView>& signatures) const {
-    std::size_t n = std::min(messages.size(), signatures.size());
-    std::vector<std::uint8_t> out(n, 0);
-    for (std::size_t i = 0; i < n; ++i)
-      out[i] = verify(public_key, messages[i], signatures[i]) ? 1 : 0;
-    return out;
+      const std::vector<BytesView>& signatures) const;
+
+ protected:
+  /// `key` as the concrete type this signer loads; throws
+  /// std::invalid_argument when another signer loaded it.
+  template <typename Key, typename Base>
+  const Key& own(const Base& key) const {
+    if (&key.signer() != this)
+      throw std::invalid_argument(name() + ": key was loaded by " +
+                                  key.signer().name());
+    return static_cast<const Key&>(key);
   }
 };
 

@@ -260,6 +260,9 @@ SigKeyPair SphincsSigner::generate_keypair(Drbg& rng) const {
 
 Bytes SphincsSigner::sign(BytesView secret_key, BytesView message,
                           Drbg& rng) const {
+  if (secret_key.size() != secret_key_size())
+    throw std::invalid_argument(name_ + ": secret key must be " +
+                                std::to_string(secret_key_size()) + " bytes");
   BytesView sk_seed = secret_key.subspan(0, n_);
   BytesView sk_prf = secret_key.subspan(n_, n_);
   BytesView pk_seed = secret_key.subspan(2 * n_, n_);

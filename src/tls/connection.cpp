@@ -540,8 +540,8 @@ void ClientConnection::on_certificate_verify(BytesView body, BytesView full,
       ok = pki::verify_chain(peer_chain_, config_.root, config_.now);
   }
   // CertificateVerify plus one verification per transmitted chain
-  // certificate (the root self-check is treated as free, matching the
-  // historical two-verification charge for a leaf-only chain).
+  // certificate. The root's self-signature was checked once, when the
+  // trust anchor was built, so no handshake pays for it.
   std::size_t verifications =
       merkle_used_ ? 1 : 1 + peer_chain_.certificates.size();
   if (costs_)
@@ -1135,7 +1135,7 @@ void ServerConnection::on_client_hello(BytesView body, BytesView full,
   {
     Scope scope(profiler_, Lib::kLibcrypto);
     cv.signature =
-        sign_certificate_verify(*config_.sa, config_.leaf_secret_key,
+        sign_certificate_verify(*config_.sa, *config_.leaf_key,
                                 key_schedule_.transcript_hash(), rng_);
   }
   if (costs_) charge(costs_->sign(config_.sa->name()));

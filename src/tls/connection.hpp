@@ -14,6 +14,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -52,7 +53,9 @@ struct ServerConfig {
   const kem::Kem* ka = nullptr;
   const sig::Signer* sa = nullptr;
   pki::CertificateChain chain;  // leaf first (leaf + issuing root)
-  Bytes leaf_secret_key;
+  /// The leaf's secret key loaded by `sa`; required for full handshakes.
+  /// Configs built from one ServerContext share it.
+  std::shared_ptr<const sig::SigningKey> leaf_key;
   Buffering buffering = Buffering::kImmediate;
   std::size_t buffer_limit = 4096;
 
@@ -88,7 +91,7 @@ struct ClientConfig {
   /// measurements so this never happened; bench/ablation_hrr measures it).
   std::vector<const kem::Kem*> also_supported;
   const sig::Signer* sa = nullptr;  // expected server SA
-  pki::Certificate root;            // trust anchor
+  pki::TrustAnchor root;            // checked and loaded once
   std::uint64_t now = 1'800'000'000;
 
   /// Resume from a cached ticket (borrowed; must outlive the connection).

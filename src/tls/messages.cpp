@@ -539,9 +539,11 @@ Bytes certificate_verify_content(BytesView transcript_hash) {
 }
 
 // CT_SECRET: secret_key -- caller-owned signing-key view, wiped by its owner
-Bytes sign_certificate_verify(const sig::Signer& sa, BytesView secret_key,
+Bytes sign_certificate_verify(const sig::Signer& sa,
+                              const sig::SigningKey& leaf_key,
                               BytesView transcript_hash, sig::Drbg& rng) {
-  return sa.sign(secret_key, certificate_verify_content(transcript_hash), rng);
+  return sa.sign_with(leaf_key, certificate_verify_content(transcript_hash),
+                      rng);
 }
 
 bool verify_certificate_verify(const sig::Signer& sa, BytesView public_key,

@@ -203,7 +203,8 @@ Bytes certificate_verify_content(BytesView transcript_hash);
 /// Sign/verify the CertificateVerify content for `transcript_hash` — the
 /// one construction both the server's sign path and the client's verify
 /// path must agree on, so it lives here rather than in either driver.
-Bytes sign_certificate_verify(const sig::Signer& sa, BytesView secret_key,
+Bytes sign_certificate_verify(const sig::Signer& sa,
+                              const sig::SigningKey& leaf_key,
                               BytesView transcript_hash, sig::Drbg& rng);
 bool verify_certificate_verify(const sig::Signer& sa, BytesView public_key,
                                BytesView transcript_hash, BytesView signature);

@@ -17,7 +17,10 @@ using crypto::Drbg;
 struct PkiMaterial {
   pki::CertificateChain chain;
   Bytes leaf_secret;
-  pki::Certificate root;
+  // The per-key work both endpoints would otherwise repeat per handshake:
+  // the leaf key loaded by the SA, the root checked and loaded.
+  std::shared_ptr<const sig::SigningKey> leaf_key;
+  pki::TrustAnchor anchor;
 };
 
 PkiMaterial setup_pki(const sig::Signer& sa, Drbg& rng) {
@@ -31,7 +34,8 @@ PkiMaterial setup_pki(const sig::Signer& sa, Drbg& rng) {
   // ~36 kB for sphincs128 = one certificate signature + the CV signature.
   out.chain.certificates = {leaf_cert};
   out.leaf_secret = leaf.secret_key;
-  out.root = ca.certificate;
+  out.leaf_key = sa.load_signing_key(out.leaf_secret);
+  out.anchor = pki::TrustAnchor(ca.certificate);
   return out;
 }
 
@@ -84,11 +88,26 @@ const PkiMaterial& cached_pki(const sig::Signer& sa,
     pki::IssuedChain issued = pki::issue_chain(
         profile, sa, "pqtls-bench.example.net", "pqtls-bench root CA",
         pki_rng);
-    entry->material.chain = std::move(issued.chain);
-    entry->material.leaf_secret = std::move(issued.leaf_secret_key);
-    entry->material.root = std::move(issued.root);
+    PkiMaterial& material = entry->material;
+    material.chain = std::move(issued.chain);
+    material.leaf_secret = std::move(issued.leaf_secret_key);
+    material.leaf_key = sa.load_signing_key(material.leaf_secret);
+    material.anchor = pki::TrustAnchor(std::move(issued.root));
   });
   return entry->material;
+}
+
+ServerContext make_context(const kem::Kem& ka, const sig::Signer& sa,
+                           const PkiMaterial& material) {
+  ServerContext context;
+  context.ka = &ka;
+  context.sa = &sa;
+  context.chain = material.chain;
+  context.leaf_secret_key = material.leaf_secret;
+  context.root = material.anchor.certificate();
+  context.leaf_key = material.leaf_key;
+  context.anchor = material.anchor;
+  return context;
 }
 
 }  // namespace
@@ -98,7 +117,7 @@ ServerConfig ServerContext::server_config(Buffering buffering) const {
   config.ka = ka;
   config.sa = sa;
   config.chain = chain;
-  config.leaf_secret_key = leaf_secret_key;
+  config.leaf_key = leaf_key;
   config.buffering = buffering;
   return config;
 }
@@ -107,7 +126,7 @@ ClientConfig ServerContext::client_config() const {
   ClientConfig config;
   config.ka = ka;
   config.sa = sa;
-  config.root = root;
+  config.root = anchor;
   return config;
 }
 
@@ -128,12 +147,7 @@ const ServerContext& server_context(const kem::Kem& ka, const sig::Signer& sa,
   std::call_once(entry->once, [&] {
     // Layered over the per-(SA, seed) PKI cache: a new KA with an
     // already-built SA reuses the certificates and pays nothing.
-    const PkiMaterial& material = cached_pki(sa, seed);
-    entry->context.ka = &ka;
-    entry->context.sa = &sa;
-    entry->context.chain = material.chain;
-    entry->context.leaf_secret_key = material.leaf_secret;
-    entry->context.root = material.root;
+    entry->context = make_context(ka, sa, cached_pki(sa, seed));
   });
   return entry->context;
 }
@@ -158,12 +172,7 @@ const ServerContext& server_context(const kem::Kem& ka, const sig::Signer& sa,
     entry = &cache[std::make_tuple(ka.name(), sa.name(), profile.name, seed)];
   }
   std::call_once(entry->once, [&] {
-    const PkiMaterial& material = cached_pki(sa, profile, seed);
-    entry->context.ka = &ka;
-    entry->context.sa = &sa;
-    entry->context.chain = material.chain;
-    entry->context.leaf_secret_key = material.leaf_secret;
-    entry->context.root = material.root;
+    entry->context = make_context(ka, sa, cached_pki(sa, profile, seed));
   });
   return entry->context;
 }

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "kem/kem.hpp"
 #include "pki/certificate.hpp"
@@ -23,10 +24,14 @@ struct ServerContext {
   pki::CertificateChain chain;  // wire order: leaf first, then intermediates
   Bytes leaf_secret_key;
   pki::Certificate root;  // the client's pre-installed trust anchor
+  /// leaf_secret_key loaded by `sa` and `root` checked and loaded, once per
+  /// (SA, seed): every config built from this context shares them.
+  std::shared_ptr<const sig::SigningKey> leaf_key;
+  pki::TrustAnchor anchor;
 
   /// Assemble endpoint configs over this context's material. The returned
-  /// configs own copies of the chain/root: build them once per experiment,
-  /// outside any per-sample loop.
+  /// configs own copies of the chain and share the loaded keys: build them
+  /// once per experiment, outside any per-sample loop.
   ServerConfig server_config(Buffering buffering = Buffering::kImmediate) const;
   ClientConfig client_config() const;
 };

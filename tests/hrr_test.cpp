@@ -31,12 +31,12 @@ HrrSetup make(const std::string& server_ka, const std::string& client_guess,
   s.server.ka = kem::find_kem(server_ka);
   s.server.sa = sa;
   s.server.chain.certificates = {leaf};
-  s.server.leaf_secret_key = leaf_kp.secret_key;
+  s.server.leaf_key = sa->load_signing_key(leaf_kp.secret_key);
   s.client.ka = kem::find_kem(client_guess);
   for (const auto& name : also)
     s.client.also_supported.push_back(kem::find_kem(name));
   s.client.sa = sa;
-  s.client.root = ca.certificate;
+  s.client.root = pki::TrustAnchor(ca.certificate);
   return s;
 }
 

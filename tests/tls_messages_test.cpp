@@ -135,8 +135,8 @@ TEST(TlsMessages, CertificateAndVerifyRoundTrip) {
   Bytes transcript(32, 0xAB);
   CertificateVerify cv;
   cv.scheme = scheme_id(sa);
-  cv.signature = sign_certificate_verify(sa, context.leaf_secret_key,
-                                         transcript, rng);
+  cv.signature =
+      sign_certificate_verify(sa, *context.leaf_key, transcript, rng);
   Bytes cv_msg = encode_certificate_verify(cv);
   auto parsed = parse_certificate_verify(body_of(cv_msg));
   ASSERT_TRUE(parsed.has_value());

@@ -28,10 +28,10 @@ Pair make_pair(const std::string& ka = "kyber512",
   p.server.ka = kem::find_kem(ka);
   p.server.sa = signer;
   p.server.chain.certificates = {leaf};
-  p.server.leaf_secret_key = leaf_kp.secret_key;
+  p.server.leaf_key = signer->load_signing_key(leaf_kp.secret_key);
   p.client.ka = kem::find_kem(ka);
   p.client.sa = signer;
-  p.client.root = ca.certificate;
+  p.client.root = pki::TrustAnchor(ca.certificate);
   return p;
 }
 
@@ -253,6 +253,14 @@ TEST(TlsNegative, MismatchedSignatureAlgorithmFails) {
   EXPECT_EQ(server_out[0], 21);
   EXPECT_EQ(server_out[5], 2);   // fatal
   EXPECT_EQ(server_out[6], 40);  // handshake_failure
+}
+
+TEST(TlsNegative, TamperedTrustAnchorFailsHandshake) {
+  Pair p = make_pair();
+  pki::Certificate root = p.client.root.certificate();
+  root.signature[root.signature.size() / 2] ^= 0x01;  // bad self-signature
+  p.client.root = pki::TrustAnchor(root);
+  EXPECT_FALSE(run_with_mutation(p, static_cast<std::size_t>(-1)));
 }
 
 TEST(KeyScheduleVectors, EarlySecretMatchesRfc8448) {

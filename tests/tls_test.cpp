@@ -107,11 +107,11 @@ HandshakeSetup make_setup(const std::string& ka_name,
   setup.server.ka = ka;
   setup.server.sa = sa;
   setup.server.chain.certificates = {leaf, ca.certificate};
-  setup.server.leaf_secret_key = leaf_kp.secret_key;
+  setup.server.leaf_key = sa->load_signing_key(leaf_kp.secret_key);
   setup.server.buffering = buffering;
   setup.client.ka = ka;
   setup.client.sa = sa;
-  setup.client.root = ca.certificate;
+  setup.client.root = pki::TrustAnchor(ca.certificate);
   return setup;
 }
 
@@ -235,7 +235,7 @@ TEST(TlsHandshake, WrongRootCaFailsVerification) {
   Drbg rng(999);
   auto other_ca =
       pki::make_root_ca(*sig::find_signer("dilithium2"), "evil root", rng);
-  setup.client.root = other_ca.certificate;
+  setup.client.root = pki::TrustAnchor(other_ca.certificate);
   HandshakeResult result = run_handshake(setup);
   EXPECT_FALSE(result.ok);
 }

@@ -373,13 +373,13 @@ TracedRun traced_handshake(const std::string& server_ka,
   server_config.ka = kem::find_kem(server_ka);
   server_config.sa = sa;
   server_config.chain.certificates = {leaf};
-  server_config.leaf_secret_key = leaf_kp.secret_key;
+  server_config.leaf_key = sa->load_signing_key(leaf_kp.secret_key);
   tls::ClientConfig client_config;
   client_config.ka = kem::find_kem(client_guess);
   if (client_guess != server_ka)
     client_config.also_supported.push_back(kem::find_kem(server_ka));
   client_config.sa = sa;
-  client_config.root = ca.certificate;
+  client_config.root = pki::TrustAnchor(ca.certificate);
 
   TracedRun run;
   tls::ClientConnection client(client_config, crypto::Drbg(1));
@@ -471,13 +471,13 @@ TEST(SpecLockstep, ResumedHandshakeStaysWithinDeclaredEdges) {
   server_config.ka = kem::find_kem("kyber768");
   server_config.sa = sa;
   server_config.chain.certificates = {leaf};
-  server_config.leaf_secret_key = leaf_kp.secret_key;
+  server_config.leaf_key = sa->load_signing_key(leaf_kp.secret_key);
   server_config.tickets = &store;
   server_config.accept_early_data = true;
   tls::ClientConfig client_config;
   client_config.ka = kem::find_kem("kyber768");
   client_config.sa = sa;
-  client_config.root = ca.certificate;
+  client_config.root = pki::TrustAnchor(ca.certificate);
   client_config.request_ticket = true;
 
   auto run_handshake = [&](tls::ClientConnection& client,
