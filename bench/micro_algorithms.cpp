@@ -5,17 +5,18 @@
 // directly support its white-box attribution (methodology supplement).
 //
 // The backend rows time the dispatchable kernels (Kyber/Dilithium NTT,
-// Haraka permutation, the scalar and 4-way Keccak-f[1600]) under every
-// compiled backend, and the batch rows time encapsulate_batch /
-// verify_batch against their sequential loops.
+// Haraka permutation, the scalar and 4-way Keccak-f[1600], the SHA-256
+// block function) under every compiled backend, and the batch rows time
+// encapsulate_batch / verify_batch against their sequential loops.
 //
 //   micro_algorithms [--gate] [benchmark args...]
 //
-// --gate: time the portable vs AVX2 kernels outside the benchmark harness
-// and fail (exit 1) unless the vectorized ones clear conservative speed
-// floors (NTT round-trips >= 2x portable, the 4-way Keccak >= 2x four
-// scalar permutations); exits 0 with a note when the binary or CPU has no
-// AVX2 (portable-only builds must stay green). CI runs this as the
+// --gate: time the portable vs optimized kernels outside the benchmark
+// harness and fail (exit 1) unless the optimized ones clear conservative
+// speed floors (AVX2 NTT round-trips >= 2x portable, the 4-way Keccak >= 2x
+// four scalar permutations, SHA-NI SHA-256 >= 2x portable over a 4 KiB
+// message); each check exits 0 with a note when the binary or CPU lacks
+// its ISA (portable-only builds must stay green). CI runs this as the
 // smoke-backend speedup step.
 #include <benchmark/benchmark.h>
 
@@ -179,6 +180,20 @@ void bm_keccak_f1600x4(benchmark::State& state,
   }
 }
 
+// One 4 KiB message (64 blocks) per iteration.
+void bm_sha256(benchmark::State& state,
+               const backend::Sha256Kernels* kernels) {
+  Drbg rng(12);
+  Bytes msg = rng.bytes(4096);
+  std::uint32_t h[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+  for (auto _ : state) {
+    kernels->compress(h, msg.data(), msg.size() / 64);
+    benchmark::DoNotOptimize(h[0]);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(msg.size()));
+}
+
 // ---- batched server ops: amortized per-key work vs sequential loops ----
 
 void bm_kem_encaps_batch(benchmark::State& state, const pqtls::kem::Kem* kem,
@@ -283,6 +298,14 @@ struct Registrar {
                                    backend::detail::haraka_aesni())
           ->MinTime(0.05);
     }
+    benchmark::RegisterBenchmark("sha256_4k/portable", bm_sha256,
+                                 &backend::detail::kSha256Portable)
+        ->MinTime(0.05);
+    if (backend::detail::sha256_shani() && backend::detail::cpu_has_shani()) {
+      benchmark::RegisterBenchmark("sha256_4k/shani", bm_sha256,
+                                   backend::detail::sha256_shani())
+          ->MinTime(0.05);
+    }
 
     // Batched server ops against their sequential equivalents (batch 1).
     const pqtls::kem::Kem* kyber = catalog.require_kem("kyber768").kem;
@@ -306,9 +329,10 @@ struct Registrar {
 const Registrar registrar;
 
 // --gate: time the kernels outside the benchmark harness and fail unless
-// AVX2 clears conservative floors. The true speedups are higher; the floors
-// only catch regressions that erase the vectorization outright. Each timing
-// is the best of several runs, which filters out preemption on a busy host.
+// the optimized ones clear conservative floors. The true speedups are
+// higher; the floors only catch regressions that erase the optimization
+// outright. Each timing is the best of several runs, which filters out
+// preemption on a busy host.
 template <typename Call>
 double best_seconds_per_call(Call call, int iters) {
   double best = 1e30;
@@ -323,7 +347,7 @@ double best_seconds_per_call(Call call, int iters) {
   return best;
 }
 
-int run_gate() {
+int avx2_gate() {
   if (!backend::available(backend::Backend::kAvx2)) {
     std::printf("backend speedup gate skipped (AVX2 %s)\n",
                 backend::compiled(backend::Backend::kAvx2)
@@ -391,6 +415,46 @@ int run_gate() {
     return 1;
   }
   return 0;
+}
+
+int sha256_gate() {
+  const backend::Sha256Kernels* shani = backend::detail::sha256_shani();
+  if (shani == nullptr || !backend::detail::cpu_has_shani()) {
+    std::printf("SHA-256 speedup gate skipped (SHA-NI %s)\n",
+                shani == nullptr ? "not compiled in"
+                                 : "not supported by this CPU");
+    return 0;
+  }
+  constexpr int kIters = 2'000;
+  constexpr double kShaFloor = 2.0;  // SHA-NI vs portable over 4 KiB
+
+  Drbg rng(13);
+  Bytes msg = rng.bytes(4096);
+  std::uint32_t h[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+  auto hash_4k = [&](const backend::Sha256Kernels& kernels) {
+    return [&kernels, &msg, &h] {
+      kernels.compress(h, msg.data(), msg.size() / 64);
+      benchmark::DoNotOptimize(h[0]);
+    };
+  };
+  double portable = best_seconds_per_call(
+      hash_4k(backend::detail::kSha256Portable), kIters);
+  double accelerated = best_seconds_per_call(hash_4k(*shani), kIters);
+  double ratio = portable / accelerated;
+  std::printf("sha-256 4 KiB  portable %8.0f ns  sha-ni %6.0f ns  %5.2fx\n",
+              portable * 1e9, accelerated * 1e9, ratio);
+  std::printf("gate: sha-ni >= %.1fx portable SHA-256\n", kShaFloor);
+  if (ratio < kShaFloor) {
+    std::fprintf(stderr, "FAIL: SHA-NI SHA-256 below its floor\n");
+    return 1;
+  }
+  return 0;
+}
+
+int run_gate() {
+  const int avx2 = avx2_gate();
+  const int sha256 = sha256_gate();
+  return avx2 != 0 ? avx2 : sha256;
 }
 
 }  // namespace

@@ -91,7 +91,24 @@ bool want_aesni() {
          cpu_supports(Backend::kAesni);
 }
 
+// SHA-NI rides on the "aesni" selection: the x86 SHA extensions ship on
+// the same CPUs, and a separate Backend value would change active_name().
+bool want_shani() {
+  Backend sel = current();
+  return (sel == Backend::kAesni || sel == Backend::kAuto) &&
+         detail::cpu_has_shani();
+}
+
 }  // namespace
+
+bool detail::cpu_has_shani() {
+#if defined(__x86_64__) || defined(__i386__)
+  return __builtin_cpu_supports("sha") != 0 &&
+         __builtin_cpu_supports("sse4.1") != 0;
+#else
+  return false;
+#endif
+}
 
 std::string_view name(Backend b) {
   switch (b) {
@@ -203,6 +220,15 @@ const KeccakKernels& keccak_kernels() {
     }
   }
   return detail::kKeccakPortable;
+}
+
+const Sha256Kernels& sha256_kernels() {
+  if (want_shani()) {
+    if (const Sha256Kernels* k = detail::sha256_shani()) {
+      return *k;
+    }
+  }
+  return detail::kSha256Portable;
 }
 
 }  // namespace pqtls::crypto::backend

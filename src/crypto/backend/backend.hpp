@@ -2,8 +2,9 @@
 // theoretic and permutation kernels behind the AlgorithmCatalog route
 // through the small function tables below, so one process-wide selection
 // switches Kyber/Dilithium NTT arithmetic and the 4-way Keccak permutation
-// to AVX2 and the SPHINCS+ Haraka permutation to AES-NI without touching
-// any caller. Every backend is
+// to AVX2, and the SPHINCS+ Haraka permutation and the SHA-256 block
+// function to the x86 AES and SHA extensions, without touching any caller.
+// Every backend is
 // bit-identical to the portable kernels by construction (canonical [0, q)
 // residues in, canonical residues out; the KAT-equivalence tests lock this),
 // so wire bytes, shared secrets, and every golden row are independent of
@@ -15,6 +16,7 @@
 // once and falls back to portable kernels for the affected family.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -23,7 +25,8 @@ namespace pqtls::crypto::backend {
 enum class Backend {
   kPortable = 0,  // pure scalar reference kernels (always available)
   kAvx2 = 1,      // AVX2 NTT/invNTT/pointwise for Kyber+Dilithium, 4-way Keccak
-  kAesni = 2,     // AES-NI Haraka permutation for SPHINCS+
+  kAesni = 2,     // AES-NI Haraka permutation for SPHINCS+, and the SHA-NI
+                  // SHA-256 block function where the CPU has SHA extensions
   kAuto = 3,      // best available kernels per family (the default)
 };
 
@@ -49,7 +52,8 @@ bool select(std::string_view backend_name);
 
 /// Resolved name of what actually runs under the current selection:
 /// "portable", "avx2", "aesni", or "avx2+aesni". This is what campaign
-/// metadata records.
+/// metadata records. The SHA-256 kernel does not change the name: it runs
+/// under "aesni" whenever the CPU also has SHA extensions.
 std::string_view active_name();
 
 // Kernel tables. Polynomials are raw coefficient arrays of 256 entries,
@@ -84,11 +88,19 @@ struct KeccakKernels {
   void (*permute_x4)(std::uint64_t* state);
 };
 
+struct Sha256Kernels {
+  // FIPS 180-4 SHA-256 block function over `nblocks` consecutive 64-byte
+  // blocks; `state` is the eight working words H0..H7 in host order.
+  void (*compress)(std::uint32_t* state, const std::uint8_t* blocks,
+                   std::size_t nblocks);
+};
+
 /// The kernel tables resolved for the current selection. Cheap enough to
 /// call per operation (one relaxed atomic load + a branch).
 const KyberKernels& kyber_kernels();
 const DilithiumKernels& dilithium_kernels();
 const HarakaKernels& haraka_kernels();
 const KeccakKernels& keccak_kernels();
+const Sha256Kernels& sha256_kernels();
 
 }  // namespace pqtls::crypto::backend

@@ -3,22 +3,11 @@
 #include <bit>
 #include <stdexcept>
 
+#include "crypto/backend/backend.hpp"
+
 namespace pqtls::crypto {
 
 namespace {
-
-constexpr std::uint32_t kK256[64] = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
 constexpr std::uint64_t kK512[80] = {
     0x428a2f98d728ae22ULL, 0x7137449123ef65cdULL, 0xb5c0fbcfec4d3b2fULL,
@@ -60,27 +49,8 @@ void Sha256::reset() {
   total_ = 0;
 }
 
-void Sha256::compress(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) w[i] = load_be32(block + 4 * i);
-  for (int i = 16; i < 64; ++i) {
-    std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-  auto [a, b, c, d, e, f, g, h] = state_;
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    std::uint32_t ch = (e & f) ^ (~e & g);
-    std::uint32_t t1 = h + s1 + ch + kK256[i] + w[i];
-    std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    std::uint32_t t2 = s0 + maj;
-    h = g; g = f; f = e; e = d + t1;
-    d = c; c = b; b = a; a = t1 + t2;
-  }
-  state_[0] += a; state_[1] += b; state_[2] += c; state_[3] += d;
-  state_[4] += e; state_[5] += f; state_[6] += g; state_[7] += h;
+void Sha256::compress(const std::uint8_t* blocks, std::size_t nblocks) {
+  backend::sha256_kernels().compress(state_.data(), blocks, nblocks);
 }
 
 void Sha256::update(BytesView data) {
@@ -92,13 +62,13 @@ void Sha256::update(BytesView data) {
     buffered_ += take;
     offset += take;
     if (buffered_ == kBlockSize) {
-      compress(buffer_.data());
+      compress(buffer_.data(), 1);
       buffered_ = 0;
     }
   }
-  while (offset + kBlockSize <= data.size()) {
-    compress(data.data() + offset);
-    offset += kBlockSize;
+  if (std::size_t nblocks = (data.size() - offset) / kBlockSize) {
+    compress(data.data() + offset, nblocks);
+    offset += nblocks * kBlockSize;
   }
   if (offset < data.size()) {
     buffered_ = data.size() - offset;
@@ -107,14 +77,14 @@ void Sha256::update(BytesView data) {
 }
 
 Bytes Sha256::finish() {
-  std::uint64_t bit_len = total_ * 8;
-  std::uint8_t pad[kBlockSize * 2] = {0x80};
-  std::size_t pad_len =
-      (buffered_ < 56) ? (56 - buffered_) : (kBlockSize + 56 - buffered_);
-  update({pad, pad_len});
-  std::uint8_t len_be[8];
-  store_be64(len_be, bit_len);
-  update({len_be, 8});
+  // The buffered tail, 0x80, zeros, and the 64-bit bit length: one block,
+  // or two when the length no longer fits behind the tail.
+  std::uint8_t last[kBlockSize * 2] = {};
+  std::memcpy(last, buffer_.data(), buffered_);
+  last[buffered_] = 0x80;
+  std::size_t nblocks = (buffered_ < 56) ? 1 : 2;
+  store_be64(last + nblocks * kBlockSize - 8, total_ * 8);
+  compress(last, nblocks);
   Bytes out(kDigestSize);
   for (int i = 0; i < 8; ++i) store_be32(out.data() + 4 * i, state_[i]);
   return out;

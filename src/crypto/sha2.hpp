@@ -8,7 +8,9 @@
 
 namespace pqtls::crypto {
 
-/// Incremental SHA-256 (and SHA-224 via a different IV).
+/// Incremental SHA-256. Whole blocks go to the backend's SHA-256 kernel
+/// (crypto/backend: SHA-NI where the CPU has it, portable otherwise), each
+/// run of consecutive blocks in one call.
 class Sha256 {
  public:
   static constexpr std::size_t kDigestSize = 32;
@@ -27,7 +29,7 @@ class Sha256 {
   }
 
  private:
-  void compress(const std::uint8_t* block);
+  void compress(const std::uint8_t* blocks, std::size_t nblocks);
 
   std::array<std::uint32_t, 8> state_{};
   std::array<std::uint8_t, kBlockSize> buffer_{};

@@ -17,6 +17,17 @@ namespace pqtls::tls {
 using crypto::hkdf_expand_sha256;
 using crypto::hkdf_extract_sha256;
 
+namespace {
+
+// Transcript-Hash("") = SHA-256 of the empty string: the context of every
+// "derived" and "res binder" Derive-Secret (RFC 8446 section 7.1).
+constexpr std::uint8_t kEmptyHash[32] = {
+    0xe3, 0xb0, 0xc4, 0x42, 0x98, 0xfc, 0x1c, 0x14, 0x9a, 0xfb, 0xf4,
+    0xc8, 0x99, 0x6f, 0xb9, 0x24, 0x27, 0xae, 0x41, 0xe4, 0x64, 0x9b,
+    0x93, 0x4c, 0xa4, 0x95, 0x99, 0x1b, 0x78, 0x52, 0xb8, 0x55};
+
+}  // namespace
+
 Bytes hkdf_expand_label(BytesView secret, std::string_view label,
                         BytesView context, std::size_t length) {
   Writer w;
@@ -76,9 +87,8 @@ void KeySchedule::clear_psk() {
 }
 
 Bytes KeySchedule::psk_binder(BytesView truncated_client_hello) const {
-  Bytes empty_hash = crypto::sha256({});
   Bytes binder_key =  // CT_SECRET: binder_key
-      derive_secret(psk_early_secret_, "res binder", empty_hash);
+      derive_secret(psk_early_secret_, "res binder", kEmptyHash);
   ct::Wiper binder_guard(binder_key);
   crypto::Sha256 context = transcript_;
   context.update(truncated_client_hello);
@@ -114,8 +124,7 @@ void KeySchedule::derive_handshake_secrets(BytesView shared_secret) {
   Bytes early_secret =  // CT_SECRET: early_secret
       has_psk() ? psk_early_secret_ : hkdf_extract_sha256({}, zeros);
   ct::Wiper early_guard(early_secret);
-  Bytes empty_hash = crypto::sha256({});
-  Bytes derived = derive_secret(early_secret, "derived", empty_hash);  // CT_SECRET
+  Bytes derived = derive_secret(early_secret, "derived", kEmptyHash);  // CT_SECRET
   ct::Wiper derived_guard(derived);
   handshake_secret_ =
       hkdf_extract_sha256(derived, shared_secret.empty()
@@ -127,8 +136,7 @@ void KeySchedule::derive_handshake_secrets(BytesView shared_secret) {
 }
 
 void KeySchedule::derive_application_secrets() {
-  Bytes empty_hash = crypto::sha256({});
-  Bytes derived = derive_secret(handshake_secret_, "derived", empty_hash);  // CT_SECRET
+  Bytes derived = derive_secret(handshake_secret_, "derived", kEmptyHash);  // CT_SECRET
   ct::Wiper derived_guard(derived);
   Bytes zeros(32, 0);
   master_secret_ = hkdf_extract_sha256(derived, zeros);

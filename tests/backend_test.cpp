@@ -1,7 +1,8 @@
 // Multi-backend crypto dispatch contracts (DESIGN.md §2.7):
 //  - selection parsing/fallback and the resolved active_name() metadata,
-//  - raw kernel equivalence (portable vs AVX2/AES-NI on random inputs;
-//    every lane of the 4-way Keccak and ShakeX4 vs scalar sponges),
+//  - raw kernel equivalence (portable vs AVX2/AES-NI/SHA-NI on random
+//    inputs and the FIPS 180-4 SHA-256 vectors; every lane of the 4-way
+//    Keccak and ShakeX4 vs scalar sponges),
 //  - catalog-wide KAT equivalence: keygen/encaps/decaps and sign/verify
 //    bytes are identical under every backend selection,
 //  - campaign rows are byte-identical under forced-portable vs auto,
@@ -29,6 +30,7 @@
 #include "crypto/catalog.hpp"
 #include "crypto/drbg.hpp"
 #include "crypto/keccak.hpp"
+#include "crypto/sha2.hpp"
 #include "loadgen/balancer.hpp"
 #include "loadgen/loadgen.hpp"
 #include "perf/cost_model.hpp"
@@ -97,6 +99,25 @@ TEST(BackendDispatch, ActiveNameReflectsAvailability) {
 
   ASSERT_TRUE(backend::select("portable"));
   EXPECT_EQ(backend::active_name(), "portable");
+}
+
+// SHA-NI has no Backend value of its own: "aesni" and "auto" resolve to it
+// wherever it is compiled in and the CPU has it; the other selections keep
+// the portable kernel, and active_name() is the same either way.
+TEST(BackendDispatch, Sha256FollowsAesniSelection) {
+  SelectionGuard guard;
+  const backend::Sha256Kernels* shani = backend::detail::sha256_shani();
+  const bool runnable = shani != nullptr && backend::detail::cpu_has_shani();
+  const backend::Sha256Kernels* expected =
+      runnable ? shani : &backend::detail::kSha256Portable;
+  ASSERT_TRUE(backend::select("portable"));
+  EXPECT_EQ(&backend::sha256_kernels(), &backend::detail::kSha256Portable);
+  ASSERT_TRUE(backend::select("avx2"));
+  EXPECT_EQ(&backend::sha256_kernels(), &backend::detail::kSha256Portable);
+  ASSERT_TRUE(backend::select("aesni"));
+  EXPECT_EQ(&backend::sha256_kernels(), expected);
+  ASSERT_TRUE(backend::select("auto"));
+  EXPECT_EQ(&backend::sha256_kernels(), expected);
 }
 
 // ---------------------------------------------------------------------------
@@ -236,6 +257,76 @@ TEST(BackendKernels, HarakaAesniMatchesPortable) {
         << "permute256 s0 trial " << trial;
     EXPECT_EQ(std::memcmp(b0, b1, sizeof b0), 0)
         << "permute256 s1 trial " << trial;
+  }
+}
+
+// SHA-256 of `msg` driven straight through one kernel: the whole padded
+// message goes in as a single run of blocks.
+Bytes sha256_with(const backend::Sha256Kernels& kernels, BytesView msg) {
+  Bytes padded(msg.begin(), msg.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  std::uint8_t bit_len[8];
+  store_be64(bit_len, std::uint64_t{msg.size()} * 8);
+  padded.insert(padded.end(), bit_len, bit_len + 8);
+  std::uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  kernels.compress(state, padded.data(), padded.size() / 64);
+  Bytes digest(32);
+  for (int i = 0; i < 8; ++i) store_be32(digest.data() + 4 * i, state[i]);
+  return digest;
+}
+
+// The FIPS 180-4 one-block ("abc"), two-block and million-'a' vectors.
+void expect_sha256_vectors(const backend::Sha256Kernels& kernels,
+                           const char* what) {
+  auto ascii = [](std::string_view s) { return Bytes(s.begin(), s.end()); };
+  EXPECT_EQ(to_hex(sha256_with(kernels, ascii("abc"))),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
+      << what;
+  EXPECT_EQ(
+      to_hex(sha256_with(
+          kernels,
+          ascii("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
+      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1")
+      << what;
+  EXPECT_EQ(to_hex(sha256_with(kernels, Bytes(1'000'000, 'a'))),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0")
+      << what;
+}
+
+TEST(BackendKernels, Sha256ShaNiMatchesPortable) {
+  expect_sha256_vectors(backend::detail::kSha256Portable, "portable");
+  // crypto::Sha256's buffering and one- or two-block padding against the
+  // padding above, at every tail length and across the 55/56-byte edge.
+  Bytes msg;
+  for (std::size_t len = 0; len <= 130; ++len) {
+    EXPECT_EQ(crypto::sha256(msg),
+              sha256_with(backend::detail::kSha256Portable, msg))
+        << len << " bytes";
+    msg.push_back(static_cast<std::uint8_t>(len * 29 + 1));
+  }
+
+  const backend::Sha256Kernels* opt = backend::detail::sha256_shani();
+  if (!opt) GTEST_SKIP() << "SHA-NI SHA-256 kernel not compiled in";
+  if (!backend::detail::cpu_has_shani())
+    GTEST_SKIP() << "CPU lacks the SHA extensions";
+  expect_sha256_vectors(*opt, "sha-ni");
+
+  // Random chaining states over runs of 1-8 blocks, read from an odd
+  // address so the kernel's unaligned loads are exercised too.
+  crypto::Drbg rng(std::uint64_t{0x7368616e69});
+  for (int trial = 0; trial < 20; ++trial) {
+    for (std::size_t nblocks = 1; nblocks <= 8; ++nblocks) {
+      Bytes words = rng.bytes(32);
+      Bytes buffer = rng.bytes(64 * nblocks + 1);
+      std::uint32_t s0[8], s1[8];
+      for (int i = 0; i < 8; ++i) s0[i] = s1[i] = load_be32(words.data() + 4 * i);
+      backend::detail::kSha256Portable.compress(s0, buffer.data() + 1, nblocks);
+      opt->compress(s1, buffer.data() + 1, nblocks);
+      EXPECT_EQ(std::memcmp(s0, s1, sizeof s0), 0)
+          << "trial " << trial << ", " << nblocks << " blocks";
+    }
   }
 }
 

@@ -53,6 +53,20 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   h.update(BytesView{msg}.subspan(100, 17));
   h.update(BytesView{msg}.subspan(117));
   EXPECT_EQ(h.finish(), sha256(msg));
+
+  // A 300-byte message split once at every offset 0-200: the first update
+  // leaves 0-63 bytes buffered, the second completes that block and hands
+  // the kernel a run of whole blocks, and finish() pads the tail.
+  Bytes long_msg(300);
+  for (std::size_t i = 0; i < long_msg.size(); ++i)
+    long_msg[i] = static_cast<std::uint8_t>(i * 13 + 5);
+  const Bytes expected = sha256(long_msg);
+  for (std::size_t split = 0; split <= 200; ++split) {
+    Sha256 parts;
+    parts.update(BytesView{long_msg}.subspan(0, split));
+    parts.update(BytesView{long_msg}.subspan(split));
+    EXPECT_EQ(parts.finish(), expected) << "split at " << split;
+  }
 }
 
 TEST(Sha384, Abc) {

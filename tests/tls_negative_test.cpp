@@ -360,5 +360,48 @@ TEST(KeyScheduleVectors, PskBinderCoversTranscript) {
   EXPECT_EQ(ks.transcript_hash(), crypto::sha256(prior));
 }
 
+// The handshake and application traffic secrets, rebuilt from the
+// primitives with the empty-context hash computed here, for the (EC)DHE and
+// the PSK-only schedules.
+TEST(KeyScheduleVectors, TrafficSecretsMatchPrimitives) {
+  const Bytes empty_hash = crypto::sha256({});
+  const Bytes zeros(32, 0);
+  const Bytes shared(32, 0x42);
+  const Bytes psk(32, 0x5A);
+  const Bytes hello(150, 0x16);
+  const Bytes finished(36, 0x14);
+  for (bool with_psk : {false, true}) {
+    KeySchedule ks;
+    if (with_psk) ks.set_psk(psk);
+    ks.update_transcript(hello);
+    ks.derive_handshake_secrets(with_psk ? BytesView{} : BytesView{shared});
+    ks.update_transcript(finished);
+    ks.derive_application_secrets();
+
+    Bytes early = crypto::hkdf_extract_sha256({}, with_psk ? psk : zeros);
+    Bytes handshake = crypto::hkdf_extract_sha256(
+        derive_secret(early, "derived", empty_hash), with_psk ? zeros : shared);
+    Bytes th1 = crypto::sha256(hello);
+    EXPECT_EQ(ks.client_handshake_traffic(),
+              derive_secret(handshake, "c hs traffic", th1))
+        << "psk " << with_psk;
+    EXPECT_EQ(ks.server_handshake_traffic(),
+              derive_secret(handshake, "s hs traffic", th1))
+        << "psk " << with_psk;
+
+    Bytes master = crypto::hkdf_extract_sha256(
+        derive_secret(handshake, "derived", empty_hash), zeros);
+    Bytes both = hello;
+    append(both, finished);
+    Bytes th2 = crypto::sha256(both);
+    EXPECT_EQ(ks.client_application_traffic(),
+              derive_secret(master, "c ap traffic", th2))
+        << "psk " << with_psk;
+    EXPECT_EQ(ks.server_application_traffic(),
+              derive_secret(master, "s ap traffic", th2))
+        << "psk " << with_psk;
+  }
+}
+
 }  // namespace
 }  // namespace pqtls::tls
