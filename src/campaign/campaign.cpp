@@ -291,10 +291,11 @@ CampaignSpec build_loadgen(const char* name, const char* description,
 
 // Batched-server-ops campaign: the same 4-core near-knee Poisson cell as
 // the loadgen campaigns, swept over the server-side batching factor
-// (LoadConfig::batch -> CostModel::kem_encaps_batched). batch=1 charges
-// the exact unbatched profile, so the first cell of each pair doubles as
-// a cross-check against the loadgen_* campaigns; larger batches show the
-// amortization moving the capacity knee.
+// (LoadConfig::batch prices the server leg's encapsulation with
+// CostModel::kem_encaps_batched). batch=1 prices the exact unbatched
+// profile, so the first cell of each pair doubles as a cross-check against
+// the loadgen_* campaigns; larger batches show the amortization moving the
+// capacity knee.
 CampaignSpec build_loadgen_batch() {
   CampaignSpec spec;
   spec.name = "loadgen_batch";

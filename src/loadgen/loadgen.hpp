@@ -111,11 +111,11 @@ struct LoadConfig {
   tls::CertMode cert_mode = tls::CertMode::kFull;
 
   /// Server-side batching factor for public-key operations: the calibrated
-  /// profile charges CostModel::kem_encaps_batched(ka, batch) for the
-  /// server flight, modeling a server that runs same-key encapsulations in
-  /// batches of this size (kem::Kem::encapsulate_batch). 1 (the default)
-  /// charges the unbatched cost exactly — bit-identical profiles. Purely a
-  /// cost-model knob.
+  /// profile prices the server leg's encapsulation with
+  /// CostModel::kem_encaps_batched(ka, batch), modeling a server that runs
+  /// same-key encapsulations in batches of this size
+  /// (kem::Kem::encapsulate_batch). 1 (the default) prices the unbatched
+  /// cost exactly — bit-identical profiles. Purely a cost-model knob.
   int batch = 1;
 
   // ---- fleet (DESIGN.md §6f) ----
@@ -150,9 +150,11 @@ struct LoadConfig {
   }
 };
 
-/// Per-handshake work profile: wire volumes calibrated from one modeled
-/// testbed handshake (real tls::Connection over simulated TCP), CPU step
-/// costs mirrored from the perf::CostModel charges at the same sites.
+/// Per-handshake work profile: wire volumes and CPU step costs calibrated
+/// from one modeled testbed handshake (real tls::Connection over simulated
+/// TCP). Each *_cpu field is one leg of that connection's charge ledger,
+/// priced by perf::CostModel::price, plus the load model's own dispatch
+/// steps.
 struct HandshakeProfile {
   /// Uplink wire budget attributed to the client Finished flight (sealed
   /// Finished record plus its ACK frames); the rest of `client_bytes`
@@ -161,10 +163,10 @@ struct HandshakeProfile {
 
   // Client-side costs are latency-only (clients are not the contended
   // resource); server-side costs occupy a core.
-  double client_hello_cpu = 0;   // key-share generation + CH assembly
-  double server_flight_cpu = 0;  // CH -> SH..Fin flight: encaps + sign + KDFs
-  double client_finish_cpu = 0;  // decaps + chain verify + client Finished
-  double server_finish_cpu = 0;  // client Finished verification
+  double client_hello_cpu = 0;   // client leg 0 + 1 step: key share, CH
+  double server_flight_cpu = 0;  // server leg 0 + 1 step: CH -> SH..Fin
+  double client_finish_cpu = 0;  // client leg 1 + 2 steps: decaps, verify, Fin
+  double server_finish_cpu = 0;  // server leg 1 + 1 step: client Fin, ticket
   std::size_t client_bytes = 0;  // uplink wire volume per handshake
   std::size_t server_bytes = 0;  // downlink wire volume per handshake
 
@@ -173,15 +175,14 @@ struct HandshakeProfile {
 
 /// Calibrated profile for (ka, sa): runs one 2-sample modeled-time testbed
 /// experiment (cached per (ka, sa, pki_seed, resumed, chain profile, cert
-/// mode), thread-safe) for the wire volumes and derives CPU steps from
-/// perf::CostModel::builtin(). `resumed` calibrates the session-resumption
-/// variant: the testbed run resumes every sample (psk_dhe_ke), so the wire
-/// volumes carry no certificate chain and the CPU steps drop the
-/// signature/verify charges. `chain_profile`/`cert_mode` calibrate the
-/// hierarchy variants: deeper chains add per-certificate verify charges,
-/// compression adds the per-byte codec work on both ends, and Merkle mode
-/// replaces the chain walk with one leaf verify plus a proof-walk KDF.
-/// Throws std::invalid_argument for unknown algorithms.
+/// mode, batch), thread-safe) and reads the wire volumes and the first
+/// sample's charge ledgers from it; CPU steps are those ledgers priced by
+/// perf::CostModel::builtin() (see HandshakeProfile). `resumed` calibrates
+/// the session-resumption variant: the testbed run resumes every sample
+/// (psk_dhe_ke), so no certificate chain, signature or verify is charged.
+/// `chain_profile`/`cert_mode` calibrate the hierarchy variants with
+/// whatever tls::Connection charges for them. Throws std::invalid_argument
+/// for unknown algorithms.
 const HandshakeProfile& calibrated_profile(
     const std::string& ka, const std::string& sa, std::uint64_t pki_seed,
     bool resumed = false, const pki::ChainProfile& chain_profile = {},

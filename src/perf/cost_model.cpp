@@ -112,16 +112,6 @@ double kem_encaps_fraction(std::string_view ka) {
   return is_hybrid_name(ka) ? 0.18 : 0.35;
 }
 
-double kem_decaps_fraction(std::string_view ka) {
-  if (ka.find("kyber") == std::string_view::npos) return 0.0;
-  return is_hybrid_name(ka) ? 0.15 : 0.30;
-}
-
-double verify_fraction(std::string_view sa) {
-  if (sa.find("dilithium") == std::string_view::npos) return 0.0;
-  return is_hybrid_name(sa) ? 0.20 : 0.45;
-}
-
 double amortize(double cost, double fraction, int batch) {
   if (batch <= 1) return cost;  // exact: keeps unbatched profiles identical
   return cost * ((1.0 - fraction) + fraction / static_cast<double>(batch));
@@ -153,11 +143,29 @@ double CostModel::verify(std::string_view sa) const {
 double CostModel::kem_encaps_batched(std::string_view ka, int batch) const {
   return amortize(kem_encaps(ka), kem_encaps_fraction(ka), batch);
 }
-double CostModel::kem_decaps_batched(std::string_view ka, int batch) const {
-  return amortize(kem_decaps(ka), kem_decaps_fraction(ka), batch);
+
+double CostModel::price(Op op, std::uint64_t count, std::string_view ka,
+                        std::string_view sa, int batch) const {
+  if (count == 0) return 0;
+  double n = static_cast<double>(count);
+  switch (op) {
+    case Op::kKemKeygen: return n * kem_keygen(ka);
+    case Op::kKemEncaps: return n * kem_encaps_batched(ka, batch);
+    case Op::kKemDecaps: return n * kem_decaps(ka);
+    case Op::kSign: return n * sign(sa);
+    case Op::kVerify: return n * verify(sa);
+    case Op::kKdf: return n * kdf();
+    case Op::kPerByte: return per_byte(count);
+  }
+  return 0;
 }
-double CostModel::verify_batched(std::string_view sa, int batch) const {
-  return amortize(verify(sa), verify_fraction(sa), batch);
+
+double CostModel::price(const ChargeLedger& leg, std::string_view ka,
+                        std::string_view sa, int batch) const {
+  double seconds = 0;
+  for (std::size_t i = 0; i < kOpCount; ++i)
+    seconds += price(static_cast<Op>(i), leg.counts[i], ka, sa, batch);
+  return seconds;
 }
 
 }  // namespace pqtls::perf

@@ -12,10 +12,47 @@
 // absolute fidelity matters.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <string_view>
 
 namespace pqtls::perf {
+
+/// The work a TLS connection charges to the modeled clock. kPerByte counts
+/// bytes (record protection + transcript hashing); every other op counts
+/// invocations (kKdf: one HKDF extract/expand-family derivation).
+enum class Op : std::uint8_t {
+  kKemKeygen,
+  kKemEncaps,
+  kKemDecaps,
+  kSign,
+  kVerify,
+  kKdf,
+  kPerByte,
+};
+inline constexpr std::size_t kOpCount =
+    static_cast<std::size_t>(Op::kPerByte) + 1;
+
+/// One charge site's term: `count` of `op`.
+struct Charge {
+  Op op;
+  std::uint64_t count = 1;
+};
+
+/// Per-op counts of the charges one connection made during one flight
+/// ("leg"). Fixed-size and allocation-free.
+struct ChargeLedger {
+  std::array<std::uint64_t, kOpCount> counts{};
+
+  void add(Op op, std::uint64_t n) {
+    counts[static_cast<std::size_t>(op)] += n;
+  }
+  std::uint64_t operator[](Op op) const {
+    return counts[static_cast<std::size_t>(op)];
+  }
+  bool operator==(const ChargeLedger&) const = default;
+};
 
 class CostModel {
  public:
@@ -31,16 +68,14 @@ class CostModel {
   double sign(std::string_view sa) const;
   double verify(std::string_view sa) const;
 
-  // Amortized per-operation cost when the server runs same-key batches of
-  // `batch` operations (kem::Kem::encapsulate_batch and friends): the
+  // Amortized per-encapsulation cost when the server runs same-key
+  // batches of `batch` encapsulations (kem::Kem::encapsulate_batch): the
   // amortizable fraction of the op — public-key parsing, matrix expansion,
   // key hashing — is divided by the batch size, the rest is charged in
   // full. batch <= 1 returns the unbatched cost exactly (same double), so
   // unbatched profiles stay bit-identical. Algorithms with no batchable
   // setup (classical ECDH/RSA) have fraction 0 and are batch-invariant.
   double kem_encaps_batched(std::string_view ka, int batch) const;
-  double kem_decaps_batched(std::string_view ka, int batch) const;
-  double verify_batched(std::string_view sa, int batch) const;
 
   /// Record protection + transcript hashing, charged per processed byte.
   double per_byte(std::size_t n) const { return 30e-9 * static_cast<double>(n); }
@@ -49,6 +84,18 @@ class CostModel {
   /// Fixed dispatch cost per TLS processing invocation (state machine,
   /// message parsing); the harness adds this once per delivery.
   double step() const { return 20e-6; }
+
+  /// The one pricing rule: seconds for `count` of `op` charged by a
+  /// connection running key agreement `ka` and signature algorithm `sa`,
+  /// with encapsulations amortized over `batch` (kem_encaps_batched).
+  /// Count 1 prices exactly the per-op cost above (same double). The
+  /// modeled clock (tls::HandshakeCore::charge) and the loadgen's
+  /// calibrated profile both price through it.
+  double price(Op op, std::uint64_t count, std::string_view ka,
+               std::string_view sa, int batch = 1) const;
+  /// Sum of price() over every op of one leg.
+  double price(const ChargeLedger& leg, std::string_view ka,
+               std::string_view sa, int batch = 1) const;
 };
 
 }  // namespace pqtls::perf

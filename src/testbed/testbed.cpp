@@ -87,6 +87,10 @@ class Host {
     return false;
   }
 
+  std::span<const perf::ChargeLedger> legs() const {
+    return client_ ? client_->legs() : server_->legs();
+  }
+
   /// Wall time spent in TLS processing since the last call (lets the
   /// harness separate in-kernel packet work from application time).
   double take_app_wall() {
@@ -479,6 +483,12 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     sample.client_packets = tap.client_packets();
     sample.server_packets = tap.server_packets();
     result.samples.push_back(sample);
+    if (costs && result.client_legs.empty()) {
+      result.client_legs.assign(client_host.legs().begin(),
+                                client_host.legs().end());
+      result.server_legs.assign(server_host.legs().begin(),
+                                server_host.legs().end());
+    }
     total_client_packets += tap.client_packets();
     total_server_packets += tap.server_packets();
 

@@ -145,6 +145,12 @@ struct ExperimentResult {
   LibraryShares client_shares;
   double server_packets = 0;  // per handshake
   double client_packets = 0;
+
+  // Modeled mode: the per-leg charge ledgers of the first completed
+  // sample's connections (tls::HandshakeCore::legs); empty in measured
+  // mode, where nothing is charged.
+  std::vector<perf::ChargeLedger> client_legs;
+  std::vector<perf::ChargeLedger> server_legs;
 };
 
 /// Run one experiment configuration (sequence of sampled handshakes).

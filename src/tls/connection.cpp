@@ -226,7 +226,8 @@ StateMachineSpec ClientConnection::spec() {
 ClientConnection::ClientConnection(const ClientConfig& config, crypto::Drbg rng,
                                    perf::Profiler* profiler)
     : HandshakeCore<ClientConnection>(std::move(rng), profiler),
-      config_(config) {}
+      config_(config),
+      active_ka_(config.ka) {}
 
 const char* ClientConnection::state_name(State state) {
   switch (state) {
@@ -248,7 +249,6 @@ const char* ClientConnection::state_name(State state) {
 }
 
 void ClientConnection::start(const FlightSink& sink) {
-  active_ka_ = config_.ka;
   const char* before = state_name(state_);
   send_client_hello(sink);
   trace_state(before);  // kStart -> kWaitServerHello is not dispatch-driven
@@ -277,7 +277,7 @@ void ClientConnection::send_client_hello(const FlightSink& sink) {
       Scope scope(profiler_, Lib::kLibcrypto);
       kp = active_ka_->generate_keypair(rng_);
     }
-    if (costs_) charge(costs_->kem_keygen(active_ka_->name()));
+    charge(perf::Op::kKemKeygen);
     kem_secret_key_ = std::move(kp.secret_key);
     hello.key_share_group = group_id(*active_ka_);
     hello.key_share = std::move(kp.public_key);
@@ -322,12 +322,12 @@ void ClientConnection::send_client_hello(const FlightSink& sink) {
       binder = key_schedule_.psk_binder(
           BytesView(msg).first(msg.size() - kPskBinderSuffixLen));
     }
-    if (costs_) charge(2 * costs_->kdf());
+    charge(perf::Op::kKdf, 2);
     std::copy(binder.begin(), binder.end(), msg.end() - kPskBinderLen);
   }
   key_schedule_.update_transcript(msg);
   Bytes record = records_.seal(ContentType::kHandshake, msg);
-  if (costs_) charge(costs_->per_byte(record.size()));
+  charge(perf::Op::kPerByte, record.size());
   state_ = State::kWaitServerHello;
 
   if (resuming && !config_.early_data.empty()) {
@@ -340,13 +340,14 @@ void ClientConnection::send_client_hello(const FlightSink& sink) {
       ct::Wiper early_guard(early);
       records_.set_write_keys(derive_traffic_keys(early));
     }
-    if (costs_) charge(2 * costs_->kdf());
+    charge(perf::Op::kKdf, 2);
     Bytes early_records =
         records_.seal(ContentType::kApplicationData, config_.early_data);
-    if (costs_) charge(costs_->per_byte(early_records.size()));
+    charge(perf::Op::kPerByte, early_records.size());
     append(record, early_records);
   }
   sink(record);
+  end_leg();
 }
 
 void ClientConnection::on_data(BytesView data, const FlightSink& sink) {
@@ -374,7 +375,7 @@ void ClientConnection::on_server_hello(BytesView body, BytesView full,
       Scope scope(profiler_, Lib::kLibcrypto);
       decapsed = active_ka_->decapsulate(kem_secret_key_, sh->key_share);
     }
-    if (costs_) charge(costs_->kem_decaps(active_ka_->name()));
+    charge(perf::Op::kKemDecaps);
     // The decapsulation key share is one-shot; drop it immediately.
     ct::wipe(kem_secret_key_);
     kem_secret_key_.clear();
@@ -395,7 +396,7 @@ void ClientConnection::on_server_hello(BytesView body, BytesView full,
       records_.set_write_keys(
           derive_traffic_keys(key_schedule_.client_handshake_traffic()));
   }
-  if (costs_) charge(3 * costs_->kdf());
+  charge(perf::Op::kKdf, 3);
   ct::wipe(shared);  // traffic secrets are installed; drop the input
   state_ = resumed_ ? State::kWaitEncryptedExtensionsPsk
                     : State::kWaitEncryptedExtensions;
@@ -451,7 +452,7 @@ void ClientConnection::on_encrypted_extensions_psk(BytesView body,
       records_.set_write_keys(
           derive_traffic_keys(key_schedule_.client_handshake_traffic()));
     }
-    if (costs_) charge(costs_->kdf());
+    charge(perf::Op::kKdf);
   }
   state_ = State::kWaitFinishedPsk;
 }
@@ -478,7 +479,7 @@ void ClientConnection::on_compressed_certificate(BytesView body, BytesView full,
     Scope scope(profiler_, Lib::kLibcrypto);
     plain = lz_decompress(cc->compressed, cc->uncompressed_length);
   }
-  if (costs_) charge(costs_->per_byte(cc->uncompressed_length));
+  charge(perf::Op::kPerByte, cc->uncompressed_length);
   if (!plain) return fail_alert(sink);
   std::optional<pki::CertificateChain> chain = parse_certificate(*plain);
   if (!chain || chain->certificates.empty()) return fail_alert(sink);
@@ -513,7 +514,7 @@ void ClientConnection::on_merkle_certificate(BytesView body, BytesView full,
     included = pki::verify_inclusion(*cert, *proof, config_.merkle_root);
   }
   // The proof walk is log2(leaves)+1 hash compressions — one KDF's worth.
-  if (costs_) charge(costs_->kdf());
+  charge(perf::Op::kKdf);
   if (!included) return fail_alert(sink);
   peer_chain_.certificates = {std::move(*cert)};
   merkle_used_ = true;
@@ -542,11 +543,8 @@ void ClientConnection::on_certificate_verify(BytesView body, BytesView full,
   // CertificateVerify plus one verification per transmitted chain
   // certificate. The root's self-signature was checked once, when the
   // trust anchor was built, so no handshake pays for it.
-  std::size_t verifications =
-      merkle_used_ ? 1 : 1 + peer_chain_.certificates.size();
-  if (costs_)
-    charge(static_cast<double>(verifications) *
-           costs_->verify(signer->name()));
+  charge(perf::Op::kVerify,
+         merkle_used_ ? 1 : 1 + peer_chain_.certificates.size());
   if (!ok) return fail_alert(sink);
   key_schedule_.update_transcript(full);
   state_ = State::kWaitFinished;
@@ -599,7 +597,7 @@ void ClientConnection::finish_handshake(BytesView body, BytesView full,
       records_.set_write_keys(
           derive_traffic_keys(key_schedule_.client_handshake_traffic()));
     }
-    if (costs_) charge(costs_->kdf());
+    charge(perf::Op::kKdf);
   }
 
   // Client flight: dummy CCS + Finished, one TCP write (the paper
@@ -627,11 +625,12 @@ void ClientConnection::finish_handshake(BytesView body, BytesView full,
         derive_traffic_keys(key_schedule_.server_application_traffic()));
   }
   // Two Finished MACs, the sealed flight, application-secret derivation.
-  if (costs_) charge(4 * costs_->kdf() + costs_->per_byte(out.size()));
+  charge({{perf::Op::kKdf, 4}, {perf::Op::kPerByte, out.size()}});
   key_schedule_.wipe_handshake_secrets();
   state_ = config_.request_ticket ? State::kWaitSessionTicket
                                   : State::kComplete;
   sink(out);
+  end_leg();
 }
 
 void ClientConnection::on_new_session_ticket(BytesView body, BytesView,
@@ -648,7 +647,7 @@ void ClientConnection::on_new_session_ticket(BytesView body, BytesView,
     Scope scope(profiler_, Lib::kLibcrypto);
     ticket.psk = key_schedule_.resumption_psk(nst->nonce);
   }
-  if (costs_) charge(costs_->kdf());
+  charge(perf::Op::kKdf);
   ticket.received_at_ms = config_.now_ms;
   ticket.lifetime_s = nst->lifetime_s;
   ticket.age_add = nst->age_add;
@@ -901,7 +900,7 @@ void ServerConnection::on_client_hello(BytesView body, BytesView full,
         expected_binder = key_schedule_.psk_binder(
             full.first(full.size() - kPskBinderSuffixLen));
       }
-      if (costs_) charge(2 * costs_->kdf());
+      charge(perf::Op::kKdf, 2);
       // A decryptable ticket with a wrong binder is an active attack:
       // abort with a fatal alert, never fall back (RFC 8446 4.2.11).
       if (!ct::equal(expected_binder, hello->psk_binder)) {
@@ -947,7 +946,7 @@ void ServerConnection::on_client_hello(BytesView body, BytesView full,
         Scope scope(profiler_, Lib::kLibcrypto);
         enc = config_.ka->encapsulate(hello->key_share, rng_);
       }
-      if (costs_) charge(costs_->kem_encaps(config_.ka->name()));
+      charge(perf::Op::kKemEncaps);
       if (!enc) return fail_alert(sink);
       sh.key_share_group = group_id(*config_.ka);
       sh.key_share = enc->ciphertext;
@@ -960,7 +959,7 @@ void ServerConnection::on_client_hello(BytesView body, BytesView full,
     sh.psk_accepted = true;
     Bytes sh_msg = encode_server_hello(sh);
     key_schedule_.update_transcript(sh_msg);
-    if (costs_) charge(costs_->per_byte(sh_msg.size() + ccs_payload().size()));
+    charge(perf::Op::kPerByte, sh_msg.size() + ccs_payload().size());
     queue(records_.seal(ContentType::kHandshake, sh_msg), sink, false);
     queue(records_.seal(ContentType::kChangeCipherSpec, ccs_payload()), sink,
           true);
@@ -982,8 +981,8 @@ void ServerConnection::on_client_hello(BytesView body, BytesView full,
         records_.set_read_keys(client_hs_keys_);
       }
     }
-    if (costs_) charge(3 * costs_->kdf());
-    if (accept_early && costs_) charge(2 * costs_->kdf());
+    charge(perf::Op::kKdf, 3);
+    if (accept_early) charge(perf::Op::kKdf, 2);
     if (enc) ct::wipe(enc->shared_secret);
     // Offered-but-declined 0-RTT records are undecryptable under the
     // handshake keys: skip them without failing (RFC 8446 4.2.10).
@@ -1000,7 +999,7 @@ void ServerConnection::on_client_hello(BytesView body, BytesView full,
       Scope scope(profiler_, Lib::kLibcrypto);
       ee_sealed = records_.seal(ContentType::kHandshake, ee_msg);
     }
-    if (costs_) charge(costs_->per_byte(ee_sealed.size()));
+    charge(perf::Op::kPerByte, ee_sealed.size());
     queue(std::move(ee_sealed), sink, false);
 
     // --- Finished (no Certificate / CertificateVerify on this path) ---
@@ -1018,10 +1017,10 @@ void ServerConnection::on_client_hello(BytesView body, BytesView full,
       Scope scope(profiler_, Lib::kLibcrypto);
       fin_sealed = records_.seal(ContentType::kHandshake, fin_msg);
     }
-    if (costs_)
-      charge(2 * costs_->kdf() + costs_->per_byte(fin_sealed.size()));
+    charge({{perf::Op::kKdf, 2}, {perf::Op::kPerByte, fin_sealed.size()}});
     queue(std::move(fin_sealed), sink, true);
     flush(sink);
+    end_leg();
 
     {
       Scope scope(profiler_, Lib::kLibcrypto);
@@ -1047,7 +1046,7 @@ void ServerConnection::on_client_hello(BytesView body, BytesView full,
     Scope scope(profiler_, Lib::kLibcrypto);
     enc = config_.ka->encapsulate(hello->key_share, rng_);
   }
-  if (costs_) charge(costs_->kem_encaps(config_.ka->name()));
+  charge(perf::Op::kKemEncaps);
   if (!enc) return fail_alert(sink);
 
   ServerHello sh;
@@ -1058,7 +1057,7 @@ void ServerConnection::on_client_hello(BytesView body, BytesView full,
   sh.key_share = enc->ciphertext;
   Bytes sh_msg = encode_server_hello(sh);
   key_schedule_.update_transcript(sh_msg);
-  if (costs_) charge(costs_->per_byte(sh_msg.size() + ccs_payload().size()));
+  charge(perf::Op::kPerByte, sh_msg.size() + ccs_payload().size());
   queue(records_.seal(ContentType::kHandshake, sh_msg), sink, false);
   queue(records_.seal(ContentType::kChangeCipherSpec, ccs_payload()), sink,
         true);
@@ -1071,7 +1070,7 @@ void ServerConnection::on_client_hello(BytesView body, BytesView full,
     records_.set_read_keys(
         derive_traffic_keys(key_schedule_.client_handshake_traffic()));
   }
-  if (costs_) charge(3 * costs_->kdf());
+  charge(perf::Op::kKdf, 3);
   ct::wipe(enc->shared_secret);  // traffic secrets are installed; drop the input
   // A client whose resumption offer fell back to a full handshake may have
   // 0-RTT records in flight; they are undecryptable here and skipped.
@@ -1085,7 +1084,7 @@ void ServerConnection::on_client_hello(BytesView body, BytesView full,
     Scope scope(profiler_, Lib::kLibcrypto);
     ee_sealed = records_.seal(ContentType::kHandshake, ee_msg);
   }
-  if (costs_) charge(costs_->per_byte(ee_sealed.size()));
+  charge(perf::Op::kPerByte, ee_sealed.size());
   queue(std::move(ee_sealed), sink, false);
 
   // --- Certificate (plain, compressed, or Merkle inclusion proof) ---
@@ -1115,7 +1114,7 @@ void ServerConnection::on_client_hello(BytesView body, BytesView full,
       Scope scope(profiler_, Lib::kLibcrypto);
       cc.compressed = lz_compress(cert_body);
     }
-    if (costs_) charge(costs_->per_byte(cert_body.size()));  // codec walk
+    charge(perf::Op::kPerByte, cert_body.size());  // codec walk
     cert_msg = encode_compressed_certificate(cc);
   } else {
     cert_msg = encode_certificate(config_.chain);
@@ -1126,7 +1125,7 @@ void ServerConnection::on_client_hello(BytesView body, BytesView full,
     Scope scope(profiler_, Lib::kLibcrypto);
     cert_sealed = records_.seal(ContentType::kHandshake, cert_msg);
   }
-  if (costs_) charge(costs_->per_byte(cert_sealed.size()));
+  charge(perf::Op::kPerByte, cert_sealed.size());
   queue(std::move(cert_sealed), sink, true);
 
   // --- CertificateVerify (the handshake signature: expensive) ---
@@ -1138,7 +1137,7 @@ void ServerConnection::on_client_hello(BytesView body, BytesView full,
         sign_certificate_verify(*config_.sa, *config_.leaf_key,
                                 key_schedule_.transcript_hash(), rng_);
   }
-  if (costs_) charge(costs_->sign(config_.sa->name()));
+  charge(perf::Op::kSign);
   Bytes cv_msg = encode_certificate_verify(cv);
   key_schedule_.update_transcript(cv_msg);
   Bytes cv_sealed;
@@ -1146,7 +1145,7 @@ void ServerConnection::on_client_hello(BytesView body, BytesView full,
     Scope scope(profiler_, Lib::kLibcrypto);
     cv_sealed = records_.seal(ContentType::kHandshake, cv_msg);
   }
-  if (costs_) charge(costs_->per_byte(cv_sealed.size()));
+  charge(perf::Op::kPerByte, cv_sealed.size());
   queue(std::move(cv_sealed), sink, false);
 
   // --- Finished ---
@@ -1165,9 +1164,10 @@ void ServerConnection::on_client_hello(BytesView body, BytesView full,
     fin_sealed = records_.seal(ContentType::kHandshake, fin_msg);
   }
   // Server Finished MAC, the sealed record, application-secret derivation.
-  if (costs_) charge(2 * costs_->kdf() + costs_->per_byte(fin_sealed.size()));
+  charge({{perf::Op::kKdf, 2}, {perf::Op::kPerByte, fin_sealed.size()}});
   queue(std::move(fin_sealed), sink, true);
   flush(sink);  // default mode: everything (still) pending goes out now
+  end_leg();
 
   {
     Scope scope(profiler_, Lib::kLibcrypto);
@@ -1198,6 +1198,7 @@ void ServerConnection::send_retry_request(const ClientHello& hello,
   key_schedule_.update_transcript(hrr_msg);
   queue(records_.seal(ContentType::kHandshake, hrr_msg), sink, true);
   flush(sink);
+  end_leg();
   // Stay in kWaitClientHello for the retried ClientHello.
 }
 
@@ -1211,7 +1212,7 @@ void ServerConnection::on_end_of_early_data(BytesView body, BytesView full,
     Scope scope(profiler_, Lib::kLibcrypto);
     records_.set_read_keys(client_hs_keys_);
   }
-  if (costs_) charge(costs_->kdf());
+  charge(perf::Op::kKdf);
   state_ = State::kWaitClientFinished;
 }
 
@@ -1224,7 +1225,7 @@ void ServerConnection::on_client_finished(BytesView body, BytesView full,
         key_schedule_.client_handshake_traffic(),
         key_schedule_.transcript_hash());
   }
-  if (costs_) charge(costs_->kdf());
+  charge(perf::Op::kKdf);
   if (!ct::equal(expected, body)) return fail_alert(sink);
   key_schedule_.update_transcript(full);
   records_.set_skip_undecryptable(false);
@@ -1275,7 +1276,7 @@ void ServerConnection::send_new_session_ticket(const FlightSink& sink) {
     sealed = records_.seal(ContentType::kHandshake, msg);
   }
   // Ticket-PSK derivation, the AEAD seal, the record bytes.
-  if (costs_) charge(2 * costs_->kdf() + costs_->per_byte(sealed.size()));
+  charge({{perf::Op::kKdf, 2}, {perf::Op::kPerByte, sealed.size()}});
   queue(std::move(sealed), sink, true);
   flush(sink);
 }

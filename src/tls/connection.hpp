@@ -13,7 +13,9 @@
 // as they are computed.
 #pragma once
 
+#include <array>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <span>
@@ -146,6 +148,21 @@ class HandshakeCore {
     return v;
   }
 
+  /// Most legs a connection runs (the client's ClientHello, retried
+  /// ClientHello, Finished and post-handshake legs).
+  static constexpr std::size_t kMaxLegs = 4;
+  /// The charges made so far, one ledger per leg: a leg collects every
+  /// charge up to and including the connection's next flight, so the last
+  /// entry is the leg still open. Client legs: ClientHello (+0-RTT),
+  /// [retried ClientHello after HelloRetryRequest], server flight through
+  /// the client Finished, post-handshake. Server legs: [HelloRetryRequest],
+  /// ClientHello through the server Finished, client Finished +
+  /// NewSessionTicket. All zero without a cost model. Priced with
+  /// perf::CostModel::price, the legs sum to the modeled cost.
+  std::span<const perf::ChargeLedger> legs() const {
+    return {legs_.data(), leg_ + 1};
+  }
+
   /// Install a flight recorder; `who` labels this connection (e.g.
   /// "tls:client"). State transitions driven by dispatched handshake
   /// messages are recorded as tls/state events. Null detaches; the hooks
@@ -174,7 +191,7 @@ class HandshakeCore {
       }
       if (records_.failed()) return self().fail();
       if (!record) return;
-      if (costs_) charge(costs_->per_byte(record->payload.size()));
+      charge(perf::Op::kPerByte, record->payload.size());
       if (record->type == ContentType::kChangeCipherSpec) continue;
       if (record->type == ContentType::kApplicationData) {
         // Mid-handshake application data is only legal as 0-RTT early
@@ -245,12 +262,32 @@ class HandshakeCore {
     sink(alert);
   }
 
-  void charge(double seconds) { modeled_cost_ += seconds; }
+  /// One charge site: its terms are recorded in the open leg's ledger and
+  /// priced for this connection's algorithms (Derived::cost_ka/cost_sa),
+  /// and their sum is added to the modeled cost as one double. A no-op
+  /// without a cost model.
+  void charge(std::initializer_list<perf::Charge> site) {
+    if (!costs_) return;
+    double seconds = 0;
+    for (const perf::Charge& term : site) {
+      legs_[leg_].add(term.op, term.count);
+      seconds += costs_->price(term.op, term.count, self().cost_ka(),
+                               self().cost_sa());
+    }
+    modeled_cost_ += seconds;
+  }
+  void charge(perf::Op op, std::uint64_t count = 1) { charge({{op, count}}); }
+  /// The connection finished a flight: later charges open the next leg.
+  void end_leg() {
+    if (leg_ + 1 < kMaxLegs) ++leg_;
+  }
 
   crypto::Drbg rng_;
   perf::Profiler* profiler_;
   const perf::CostModel* costs_ = nullptr;
   double modeled_cost_ = 0;
+  std::array<perf::ChargeLedger, kMaxLegs> legs_{};
+  std::size_t leg_ = 0;
   RecordLayer records_;
   KeySchedule key_schedule_;
   Bytes handshake_buffer_;  // handshake-message reassembly
@@ -332,6 +369,10 @@ class ClientConnection : public HandshakeCore<ClientConnection> {
   void fail() { state_ = State::kFailed; }
   /// The client never receives application data mid-handshake.
   bool on_app_data_record(BytesView) { return false; }
+  /// Algorithms charge() prices: the group of the key share in flight
+  /// (after a HelloRetryRequest, the one the server demanded).
+  std::string_view cost_ka() const { return active_ka_->name(); }
+  std::string_view cost_sa() const { return config_.sa->name(); }
   /// True while a resumption offer with early data is outstanding.
   bool early_offered() const {
     return psk_offered_ && !config_.early_data.empty();
@@ -433,6 +474,8 @@ class ServerConnection : public HandshakeCore<ServerConnection> {
     return state_ == State::kComplete || state_ == State::kFailed;
   }
   void fail() { state_ = State::kFailed; }
+  std::string_view cost_ka() const { return config_.ka->name(); }
+  std::string_view cost_sa() const { return config_.sa->name(); }
   /// Application data mid-handshake: accepted 0-RTT records are buffered
   /// until EndOfEarlyData; before the ClientHello (trial-decryption skip
   /// mode off) or after the handshake it is a protocol violation.

@@ -664,17 +664,14 @@ TEST(BatchOps, CostModelAmortizesMonotonically) {
   // byte-identical (same double, not merely approximately equal).
   EXPECT_EQ(cm.kem_encaps_batched("kyber512", 1), cm.kem_encaps("kyber512"));
   EXPECT_EQ(cm.kem_encaps_batched("kyber512", 0), cm.kem_encaps("kyber512"));
-  EXPECT_EQ(cm.verify_batched("dilithium2", 1), cm.verify("dilithium2"));
 
   EXPECT_LT(cm.kem_encaps_batched("kyber512", 8),
             cm.kem_encaps_batched("kyber512", 1));
   EXPECT_LT(cm.kem_encaps_batched("kyber512", 32),
             cm.kem_encaps_batched("kyber512", 8));
-  EXPECT_LT(cm.verify_batched("dilithium2", 8), cm.verify("dilithium2"));
 
   // Algorithms with no amortizable per-key setup are batch-invariant.
   EXPECT_EQ(cm.kem_encaps_batched("x25519", 32), cm.kem_encaps("x25519"));
-  EXPECT_EQ(cm.verify_batched("rsa:2048", 32), cm.verify("rsa:2048"));
 }
 
 TEST(BatchOps, LoadgenBatchRaisesCapacity) {
