@@ -6,8 +6,9 @@
 //
 // The backend rows time the dispatchable kernels (Kyber/Dilithium NTT,
 // Haraka permutation, the scalar and 4-way Keccak-f[1600], the SHA-256
-// block function) under every compiled backend, and the batch rows time
-// encapsulate_batch / verify_batch against their sequential loops.
+// block function, BIKE's GF(2)[x] product) under every compiled backend,
+// and the batch rows time encapsulate_batch / verify_batch against their
+// sequential loops.
 //
 //   micro_algorithms [--gate] [benchmark args...]
 //
@@ -15,7 +16,8 @@
 // harness and fail (exit 1) unless the optimized ones clear conservative
 // speed floors (AVX2 NTT round-trips >= 2x portable, the 4-way Keccak >= 2x
 // four scalar permutations, SHA-NI SHA-256 >= 2x portable over a 4 KiB
-// message); each check exits 0 with a note when the binary or CPU lacks
+// message, the PCLMULQDQ GF(2)[x] product at BIKE-L3's r = 24659 >= 2x
+// portable); each check exits 0 with a note when the binary or CPU lacks
 // its ISA (portable-only builds must stay green). CI runs this as the
 // smoke-backend speedup step.
 #include <benchmark/benchmark.h>
@@ -24,11 +26,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
 #include "crypto/backend/backend.hpp"
 #include "crypto/backend/kernels.hpp"
 #include "crypto/catalog.hpp"
 #include "crypto/drbg.hpp"
+#include "crypto/gf2.hpp"
 #include "crypto/keccak.hpp"
 #include "kem/kem.hpp"
 #include "sig/sig.hpp"
@@ -194,6 +198,25 @@ void bm_sha256(benchmark::State& state,
                           static_cast<std::int64_t>(msg.size()));
 }
 
+// The r = 24659 (BIKE-L3) ring product before its fold mod x^r - 1:
+// Karatsuba down to the kernel, 386 x 386 words.
+constexpr std::size_t kGf2Words = (24659 + 63) / 64;
+
+void bm_gf2_mul(benchmark::State& state, const backend::Gf2Kernels* kernels) {
+  Drbg rng(14);
+  std::vector<std::uint64_t> a(kGf2Words), b(kGf2Words), out(2 * kGf2Words);
+  for (std::size_t i = 0; i < kGf2Words; ++i) {
+    a[i] = rng.u64();
+    b[i] = rng.u64();
+  }
+  for (auto _ : state) {
+    pqtls::crypto::gf2_mul_words(out.data(), a.data(), b.data(), kGf2Words,
+                                 *kernels);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+
 // ---- batched server ops: amortized per-key work vs sequential loops ----
 
 void bm_kem_encaps_batch(benchmark::State& state, const pqtls::kem::Kem* kem,
@@ -304,6 +327,17 @@ struct Registrar {
     if (backend::detail::sha256_shani() && backend::detail::cpu_has_shani()) {
       benchmark::RegisterBenchmark("sha256_4k/shani", bm_sha256,
                                    backend::detail::sha256_shani())
+          ->MinTime(0.05);
+    }
+
+    benchmark::RegisterBenchmark("gf2_mul/portable", bm_gf2_mul,
+                                 &backend::detail::kGf2Portable)
+        ->Unit(benchmark::kMicrosecond)
+        ->MinTime(0.05);
+    if (backend::detail::gf2_pclmul() && backend::detail::cpu_has_pclmul()) {
+      benchmark::RegisterBenchmark("gf2_mul/pclmul", bm_gf2_mul,
+                                   backend::detail::gf2_pclmul())
+          ->Unit(benchmark::kMicrosecond)
           ->MinTime(0.05);
     }
 
@@ -451,10 +485,49 @@ int sha256_gate() {
   return 0;
 }
 
+int gf2_gate() {
+  const backend::Gf2Kernels* pclmul = backend::detail::gf2_pclmul();
+  if (pclmul == nullptr || !backend::detail::cpu_has_pclmul()) {
+    std::printf("GF(2) speedup gate skipped (PCLMULQDQ %s)\n",
+                pclmul == nullptr ? "not compiled in"
+                                  : "not supported by this CPU");
+    return 0;
+  }
+  constexpr double kGf2Floor = 2.0;  // PCLMULQDQ vs portable at r = 24659
+
+  Drbg rng(15);
+  std::vector<std::uint64_t> a(kGf2Words), b(kGf2Words), out(2 * kGf2Words);
+  for (std::size_t i = 0; i < kGf2Words; ++i) {
+    a[i] = rng.u64();
+    b[i] = rng.u64();
+  }
+  auto product = [&](const backend::Gf2Kernels& kernels) {
+    return [&kernels, &a, &b, &out] {
+      pqtls::crypto::gf2_mul_words(out.data(), a.data(), b.data(), kGf2Words,
+                                   kernels);
+      benchmark::DoNotOptimize(out.data());
+      benchmark::ClobberMemory();
+    };
+  };
+  double portable =
+      best_seconds_per_call(product(backend::detail::kGf2Portable), 20);
+  double accelerated = best_seconds_per_call(product(*pclmul), 200);
+  double ratio = portable / accelerated;
+  std::printf("gf2 r=24659    portable %8.0f ns  pclmul %6.0f ns  %5.2fx\n",
+              portable * 1e9, accelerated * 1e9, ratio);
+  std::printf("gate: pclmul >= %.1fx portable GF(2)[x] product\n", kGf2Floor);
+  if (ratio < kGf2Floor) {
+    std::fprintf(stderr, "FAIL: PCLMULQDQ GF(2) product below its floor\n");
+    return 1;
+  }
+  return 0;
+}
+
 int run_gate() {
   const int avx2 = avx2_gate();
   const int sha256 = sha256_gate();
-  return avx2 != 0 ? avx2 : sha256;
+  const int gf2 = gf2_gate();
+  return avx2 != 0 ? avx2 : sha256 != 0 ? sha256 : gf2;
 }
 
 }  // namespace

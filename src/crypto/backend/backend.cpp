@@ -85,19 +85,16 @@ bool avx2_compiled() {
          detail::keccak_avx2() != nullptr;
 }
 
-bool want_aesni() {
+// SHA-NI and PCLMULQDQ ride on the "aesni" selection too: those x86
+// extensions ship on the same CPUs as AES-NI, and a separate Backend value
+// would change active_name(). Each still needs its own CPUID bit.
+bool want_aesni(bool cpu_has_extension) {
   Backend sel = current();
   return (sel == Backend::kAesni || sel == Backend::kAuto) &&
-         cpu_supports(Backend::kAesni);
+         cpu_has_extension;
 }
 
-// SHA-NI rides on the "aesni" selection: the x86 SHA extensions ship on
-// the same CPUs, and a separate Backend value would change active_name().
-bool want_shani() {
-  Backend sel = current();
-  return (sel == Backend::kAesni || sel == Backend::kAuto) &&
-         detail::cpu_has_shani();
-}
+bool want_aesni() { return want_aesni(cpu_supports(Backend::kAesni)); }
 
 }  // namespace
 
@@ -105,6 +102,15 @@ bool detail::cpu_has_shani() {
 #if defined(__x86_64__) || defined(__i386__)
   return __builtin_cpu_supports("sha") != 0 &&
          __builtin_cpu_supports("sse4.1") != 0;
+#else
+  return false;
+#endif
+}
+
+bool detail::cpu_has_pclmul() {
+#if defined(__x86_64__) || defined(__i386__)
+  return __builtin_cpu_supports("pclmul") != 0 &&
+         __builtin_cpu_supports("sse2") != 0;
 #else
   return false;
 #endif
@@ -223,12 +229,21 @@ const KeccakKernels& keccak_kernels() {
 }
 
 const Sha256Kernels& sha256_kernels() {
-  if (want_shani()) {
+  if (want_aesni(detail::cpu_has_shani())) {
     if (const Sha256Kernels* k = detail::sha256_shani()) {
       return *k;
     }
   }
   return detail::kSha256Portable;
+}
+
+const Gf2Kernels& gf2_kernels() {
+  if (want_aesni(detail::cpu_has_pclmul())) {
+    if (const Gf2Kernels* k = detail::gf2_pclmul()) {
+      return *k;
+    }
+  }
+  return detail::kGf2Portable;
 }
 
 }  // namespace pqtls::crypto::backend

@@ -2,9 +2,9 @@
 // theoretic and permutation kernels behind the AlgorithmCatalog route
 // through the small function tables below, so one process-wide selection
 // switches Kyber/Dilithium NTT arithmetic and the 4-way Keccak permutation
-// to AVX2, and the SPHINCS+ Haraka permutation and the SHA-256 block
-// function to the x86 AES and SHA extensions, without touching any caller.
-// Every backend is
+// to AVX2, and the SPHINCS+ Haraka permutation, the SHA-256 block function
+// and BIKE's GF(2)[x] word product to the x86 AES, SHA and PCLMULQDQ
+// extensions, without touching any caller. Every backend is
 // bit-identical to the portable kernels by construction (canonical [0, q)
 // residues in, canonical residues out; the KAT-equivalence tests lock this),
 // so wire bytes, shared secrets, and every golden row are independent of
@@ -25,8 +25,9 @@ namespace pqtls::crypto::backend {
 enum class Backend {
   kPortable = 0,  // pure scalar reference kernels (always available)
   kAvx2 = 1,      // AVX2 NTT/invNTT/pointwise for Kyber+Dilithium, 4-way Keccak
-  kAesni = 2,     // AES-NI Haraka permutation for SPHINCS+, and the SHA-NI
-                  // SHA-256 block function where the CPU has SHA extensions
+  kAesni = 2,     // AES-NI Haraka permutation for SPHINCS+, plus the SHA-NI
+                  // SHA-256 block function and the PCLMULQDQ GF(2)[x]
+                  // product where the CPU has those extensions
   kAuto = 3,      // best available kernels per family (the default)
 };
 
@@ -52,8 +53,9 @@ bool select(std::string_view backend_name);
 
 /// Resolved name of what actually runs under the current selection:
 /// "portable", "avx2", "aesni", or "avx2+aesni". This is what campaign
-/// metadata records. The SHA-256 kernel does not change the name: it runs
-/// under "aesni" whenever the CPU also has SHA extensions.
+/// metadata records. The SHA-256 and GF(2) kernels do not change the name:
+/// they run under "aesni" whenever the CPU also has SHA extensions or
+/// PCLMULQDQ.
 std::string_view active_name();
 
 // Kernel tables. Polynomials are raw coefficient arrays of 256 entries,
@@ -95,6 +97,18 @@ struct Sha256Kernels {
                    std::size_t nblocks);
 };
 
+struct Gf2Kernels {
+  // Carry-less (GF(2)[x]) product of two n-word polynomials, words and
+  // bits little-endian: out[0, 2n) = a[0, n) * b[0, n), overwritten. `out`
+  // must not overlap the inputs. crypto::gf2_mul_words runs Karatsuba
+  // down to it.
+  void (*mul)(std::uint64_t* out, const std::uint64_t* a,
+              const std::uint64_t* b, std::size_t n);
+  // Karatsuba hands `mul` operands of at most this many words: where
+  // one more halving stops paying off for this kernel.
+  std::size_t base_words;
+};
+
 /// The kernel tables resolved for the current selection. Cheap enough to
 /// call per operation (one relaxed atomic load + a branch).
 const KyberKernels& kyber_kernels();
@@ -102,5 +116,6 @@ const DilithiumKernels& dilithium_kernels();
 const HarakaKernels& haraka_kernels();
 const KeccakKernels& keccak_kernels();
 const Sha256Kernels& sha256_kernels();
+const Gf2Kernels& gf2_kernels();
 
 }  // namespace pqtls::crypto::backend

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <stdexcept>
+#include <utility>
 
 #include "crypto/ct.hpp"
 
@@ -17,6 +18,16 @@ Gf2Ring Gf2Ring::from_support(std::size_t r,
                               const std::vector<std::uint32_t>& ones) {
   Gf2Ring out(r);
   for (auto i : ones) out.set(i, true);
+  return out;
+}
+
+Gf2Ring Gf2Ring::from_words(std::size_t r, std::vector<std::uint64_t> words) {
+  if (words.size() != (r + 63) / 64)
+    throw std::invalid_argument("word count does not match ring size");
+  Gf2Ring out;
+  out.r_ = r;
+  out.words_ = std::move(words);
+  out.mask_top();
   return out;
 }
 
@@ -81,6 +92,14 @@ Gf2Ring& Gf2Ring::operator^=(const Gf2Ring& other) {
   return *this;
 }
 
+Gf2Ring Gf2Ring::operator&(const Gf2Ring& other) const {
+  if (r_ != other.r_) throw std::invalid_argument("ring size mismatch");
+  Gf2Ring out = *this;
+  for (std::size_t i = 0; i < words_.size(); ++i)
+    out.words_[i] &= other.words_[i];
+  return out;
+}
+
 namespace {
 
 // XOR `src` (nwords words) shifted left by `shift` bits into dst.
@@ -142,80 +161,111 @@ Gf2Ring Gf2Ring::transpose() const {
   return out;
 }
 
+namespace {
+
+// out[0, 2n) = a * b. Operands of at most kernels.base_words words go to
+// the kernel whole. Otherwise, with h = ceil(n / 2) and a = a0 + x^(64h) a1
+// (likewise b), the low and high products land in out directly and the
+// middle term is (a0 + a1)(b0 + b1) - a0 b0 - a1 b1. `scratch` holds 4h
+// words for this level plus what the recursion needs (4n + 256 words
+// covers every depth).
+void karatsuba(std::uint64_t* out, const std::uint64_t* a,
+               const std::uint64_t* b, std::size_t n, std::uint64_t* scratch,
+               const backend::Gf2Kernels& kernels) {
+  if (n <= kernels.base_words || n < 2) {
+    kernels.mul(out, a, b, n);
+    return;
+  }
+  const std::size_t h = (n + 1) / 2, l = n - h;
+  karatsuba(out, a, b, h, scratch, kernels);
+  karatsuba(out + 2 * h, a + h, b + h, l, scratch, kernels);
+  std::uint64_t* sa = scratch;
+  std::uint64_t* sb = scratch + h;
+  std::uint64_t* mid = scratch + 2 * h;
+  for (std::size_t i = 0; i < h; ++i) {
+    sa[i] = a[i] ^ (i < l ? a[h + i] : 0);
+    sb[i] = b[i] ^ (i < l ? b[h + i] : 0);
+  }
+  karatsuba(mid, sa, sb, h, scratch + 4 * h, kernels);
+  for (std::size_t i = 0; i < 2 * h; ++i) mid[i] ^= out[i];
+  for (std::size_t i = 0; i < 2 * l; ++i) mid[i] ^= out[2 * h + i];
+  for (std::size_t i = 0; i < 2 * h; ++i) out[h + i] ^= mid[i];
+}
+
+}  // namespace
+
+void gf2_mul_words(std::uint64_t* out, const std::uint64_t* a,
+                   const std::uint64_t* b, std::size_t n,
+                   const backend::Gf2Kernels& kernels) {
+  std::vector<std::uint64_t> scratch(4 * n + 256);
+  karatsuba(out, a, b, n, scratch.data(), kernels);
+}
+
 Gf2Ring Gf2Ring::operator*(const Gf2Ring& other) const {
   if (r_ != other.r_) throw std::invalid_argument("ring size mismatch");
   std::size_t nwords = words_.size();
-  // Schoolbook carry-less multiply into a 2r-bit scratch using 4-bit combs.
-  std::vector<std::uint64_t> scratch(2 * nwords + 1, 0);
-  for (std::size_t i = 0; i < nwords; ++i) {
-    std::uint64_t a = words_[i];
-    if (!a) continue;
-    for (std::size_t j = 0; j < nwords; ++j) {
-      std::uint64_t b = other.words_[j];
-      if (!b) continue;
-      // Carry-less 64x64 -> 128 via 4 shifted 2-bit combs.
-      std::uint64_t lo = 0, hi = 0;
-      std::uint64_t bb = b;
-      while (bb) {
-        int k = std::countr_zero(bb);
-        lo ^= a << k;
-        if (k) hi ^= a >> (64 - k);
-        bb &= bb - 1;
-      }
-      scratch[i + j] ^= lo;
-      scratch[i + j + 1] ^= hi;
-    }
-  }
+  std::vector<std::uint64_t> product(2 * nwords);
+  gf2_mul_words(product.data(), words_.data(), other.words_.data(), nwords,
+                backend::gf2_kernels());
   Gf2Ring out(r_);
-  out.fold_scratch(scratch);
+  out.fold_scratch(product);
+  return out;
+}
+
+Gf2Ring Gf2Ring::squared(std::size_t k) const {
+  if (r_ % 2 == 0)
+    throw std::invalid_argument(
+        "squaring permutes coefficients only for odd r");
+  // Coefficient i moves to i * 2^k mod r, so output coefficient j comes
+  // from j * 2^-k mod r (2^-1 = (r + 1) / 2 for odd r): a gather that
+  // assembles each output word from 64 reads.
+  std::uint64_t step = 1 % r_, base = (r_ + 1) / 2;
+  for (std::size_t e = k; e; e >>= 1, base = base * base % r_)
+    if (e & 1) step = step * base % r_;
+  // Source offsets of the 64 bits of one output word, relative to the
+  // word's first source: iterations stay independent of each other.
+  std::size_t offset[64];
+  offset[0] = 0;
+  for (std::size_t b = 1; b < 64; ++b) offset[b] = (offset[b - 1] + step) % r_;
+  const std::size_t word_step = (offset[63] + step) % r_;
+  Gf2Ring out(r_);
+  std::size_t first = 0;
+  for (std::size_t wi = 0; wi < out.words_.size(); ++wi) {
+    std::size_t bits = std::min<std::size_t>(64, r_ - 64 * wi);
+    std::uint64_t word = 0;
+    for (std::size_t b = 0; b < bits; ++b) {
+      std::size_t src = first + offset[b];
+      if (src >= r_) src -= r_;
+      word |= ((words_[src / 64] >> (src % 64)) & 1) << b;
+    }
+    out.words_[wi] = word;
+    first += word_step;
+    if (first >= r_) first -= r_;
+  }
   return out;
 }
 
 bool Gf2Ring::inverse(Gf2Ring& out) const {
-  // Extended Euclid over GF(2)[x] between f = x^r - 1 and g = *this.
-  // Polynomials here are plain (non-cyclic) bit vectors of length <= r+1.
-  const std::size_t cap_words = (r_ + 1 + 63) / 64 + 1;
-  using Poly = std::vector<std::uint64_t>;
-  auto deg = [&](const Poly& p) -> long {
-    for (std::size_t i = p.size(); i-- > 0;)
-      if (p[i]) return static_cast<long>(i * 64 + 63 - std::countl_zero(p[i]));
-    return -1;
-  };
-  auto xor_shifted = [&](Poly& dst, const Poly& src, std::size_t shift) {
-    std::size_t ws = shift / 64, bs = shift % 64;
-    for (std::size_t i = 0; i < src.size(); ++i) {
-      if (!src[i]) continue;
-      if (i + ws < dst.size()) dst[i + ws] ^= src[i] << bs;
-      if (bs && i + ws + 1 < dst.size()) dst[i + ws + 1] ^= src[i] >> (64 - bs);
+  if (r_ < 3 || r_ % 2 == 0) return false;
+  // h^-1 = h^(2^(r-1) - 2) = (h^(2^m - 1))^2 with m = r - 2. Walking m's
+  // bits from the top, f = h^(2^k - 1) doubles k by f^(2^k) * f and adds
+  // one by f^2 * h; the chain depends on r alone, never on h.
+  const std::size_t m = r_ - 2;
+  Gf2Ring f = *this;
+  std::size_t k = 1;
+  for (int bit = static_cast<int>(std::bit_width(m)) - 2; bit >= 0; --bit) {
+    f = f.squared(k) * f;
+    k *= 2;
+    if ((m >> bit) & 1) {
+      f = f.squared() * *this;
+      k += 1;
     }
-  };
-
-  Poly r0(cap_words, 0), r1(cap_words, 0);
-  r0[r_ / 64] ^= std::uint64_t{1} << (r_ % 64);  // x^r
-  r0[0] ^= 1;                                    // - 1 == + 1
-  for (std::size_t i = 0; i < words_.size(); ++i) r1[i] = words_[i];
-
-  Poly t0(cap_words, 0), t1(cap_words, 0);
-  t1[0] = 1;
-
-  while (true) {
-    long d1 = deg(r1);
-    if (d1 < 0) return false;  // common factor, not invertible
-    if (d1 == 0) break;        // r1 is the constant 1
-    long d0 = deg(r0);
-    if (d0 < d1) {
-      std::swap(r0, r1);
-      std::swap(t0, t1);
-      continue;
-    }
-    std::size_t shift = static_cast<std::size_t>(d0 - d1);
-    xor_shifted(r0, r1, shift);
-    xor_shifted(t0, t1, shift);
   }
-  out = Gf2Ring(r_);
-  for (std::size_t i = 0; i < out.words_.size(); ++i)
-    out.words_[i] = t1[i];
-  out.mask_top();
+  Gf2Ring inv = f.squared();
+  Gf2Ring one(r_);
+  one.set(0, true);
+  if (*this * inv != one) return false;
+  out = std::move(inv);
   return true;
 }
 

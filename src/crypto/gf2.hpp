@@ -6,10 +6,18 @@
 #include <cstdint>
 #include <vector>
 
+#include "crypto/backend/backend.hpp"
 #include "crypto/bytes.hpp"
 #include "crypto/drbg.hpp"
 
 namespace pqtls::crypto {
+
+/// Carry-less product out[0, 2n) = a[0, n) * b[0, n) over GF(2)[x], words
+/// little-endian: Karatsuba halving down to blocks that `kernels.mul`
+/// multiplies. `out` must not overlap the inputs.
+void gf2_mul_words(std::uint64_t* out, const std::uint64_t* a,
+                   const std::uint64_t* b, std::size_t n,
+                   const backend::Gf2Kernels& kernels);
 
 /// Element of GF(2)[x] / (x^r - 1), stored as packed 64-bit words.
 class Gf2Ring {
@@ -22,6 +30,9 @@ class Gf2Ring {
   static Gf2Ring random(std::size_t r, Drbg& rng);
   /// Random element of exact Hamming weight w (Fisher-Yates over indices).
   static Gf2Ring random_weight(std::size_t r, std::size_t w, Drbg& rng);
+  /// The element whose packed words are `words` ((r + 63) / 64 of them;
+  /// bits at and above r are cleared).
+  static Gf2Ring from_words(std::size_t r, std::vector<std::uint64_t> words);
 
   std::size_t degree_bound() const { return r_; }
   bool get(std::size_t i) const {
@@ -45,10 +56,16 @@ class Gf2Ring {
 
   Gf2Ring operator^(const Gf2Ring& other) const;  // addition in GF(2)
   Gf2Ring& operator^=(const Gf2Ring& other);
+  Gf2Ring operator&(const Gf2Ring& other) const;  // coefficient-wise AND
   bool operator==(const Gf2Ring& other) const = default;
 
-  /// Cyclic product modulo x^r - 1 (comb multiplication).
+  /// Cyclic product modulo x^r - 1: gf2_mul_words on the active backend's
+  /// Gf2Kernels, then the 2r-bit product folded onto r bits.
   Gf2Ring operator*(const Gf2Ring& other) const;
+  /// (*this)^(2^k): k squarings as one pass of the bit permutation
+  /// i -> i * 2^k mod r (squaring is linear in characteristic 2). Needs
+  /// odd r, where that map is a permutation; throws otherwise.
+  Gf2Ring squared(std::size_t k = 1) const;
   /// Cyclic product where `support` lists the set coefficients of the sparse
   /// operand — the fast path for the QC-MDPC/QC codes whose secrets are
   /// fixed-low-weight vectors.
@@ -59,8 +76,12 @@ class Gf2Ring {
   /// QC-MDPC syndrome computations use it.
   Gf2Ring transpose() const;
 
-  /// Multiplicative inverse modulo x^r - 1 via the extended Euclidean
-  /// algorithm over GF(2)[x]; returns false if not invertible.
+  /// Multiplicative inverse modulo x^r - 1 by Itoh-Tsujii: h^(2^(r-1) - 2)
+  /// through a fixed chain of products and k-squarings that depends on r
+  /// only, then a check that h * h^-1 = 1. For prime r the chain gives the
+  /// inverse of every unit (ord_r(2) divides r - 1); returns false, with
+  /// `out` untouched, for a non-unit, and for every element when r is even
+  /// or below 3.
   bool inverse(Gf2Ring& out) const;
 
   /// Pack to ceil(r/8) bytes, little-endian bit order.

@@ -1,6 +1,9 @@
 #include "kem/bike.hpp"
 
+#include <array>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "crypto/ct.hpp"
 #include "crypto/gf2.hpp"
@@ -51,24 +54,113 @@ int threshold(const BgfThreshold& th, std::size_t syndrome_weight) {
   return std::max(v, th.floor_value);
 }
 
-// Counter: number of unsatisfied parity checks touching position j of block b.
-// supp lists the support of the corresponding secret block.
-int counter(const Gf2Ring& syndrome, std::size_t r,
-            const std::vector<std::uint32_t>& supp, std::size_t j) {
-  int c = 0;
-  for (std::uint32_t k : supp) {
-    std::size_t pos = j + k;
-    if (pos >= r) pos -= r;
-    c += syndrome.get(pos);
+// Unsatisfied-parity counters of every position of one block at once.
+// Counter j is #{k in supp : s[(j + k) mod r] = 1}, so the counters are the
+// sum over the support of the syndrome rotated down by k: bits [k, k + r)
+// of the doubled syndrome s || s. The sums live in kSlices bit-slices,
+// one word per 64 positions, and are compared against thresholds slice by
+// slice.
+constexpr int kSlices = 7;  // counters reach at most d <= 103 < 2^7
+
+// s || s as 2r contiguous bits, with zero words after them so that every
+// 64-bit window starting below 2r can be read whole.
+std::vector<std::uint64_t> doubled(const Gf2Ring& s) {
+  const auto& w = s.words();
+  std::size_t r = s.degree_bound(), ws = r / 64, bs = r % 64;
+  std::vector<std::uint64_t> out(2 * w.size() + 2, 0);
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    out[i] ^= w[i];
+    out[i + ws] ^= w[i] << bs;
+    if (bs) out[i + ws + 1] ^= w[i] >> (64 - bs);
   }
-  return c;
+  return out;
 }
 
+// One full adder per lane: a + b + c = sum + 2 carry.
+inline void full_add(std::uint64_t& sum, std::uint64_t& carry, std::uint64_t a,
+                     std::uint64_t b, std::uint64_t c) {
+  std::uint64_t u = a ^ b;
+  sum = u ^ c;
+  carry = (a & b) | (u & c);
+}
+
+class Counters {
+ public:
+  Counters(const std::vector<std::uint64_t>& doubled_syndrome, std::size_t r,
+           const std::vector<std::uint32_t>& supp)
+      : r_(r), slices_((r + 63) / 64) {
+    if (supp.size() >= (std::size_t{1} << kSlices))
+      throw std::invalid_argument("BIKE block weight exceeds the counters");
+    const std::uint64_t* sd = doubled_syndrome.data();
+    const std::size_t n = supp.size();
+    for (std::size_t wi = 0; wi < slices_.size(); ++wi) {
+      auto& c = slices_[wi];
+      // Bits [64 wi + k, 64 wi + k + 64) of s || s.
+      auto rotated = [&](std::uint32_t k) {
+        std::size_t idx = wi + k / 64, sh = k % 64;
+        return (sd[idx] >> sh) | ((sd[idx + 1] << 1) << (63 - sh));
+      };
+      // Add x at weight 2^level with a ripple of half adders.
+      auto add = [&](int level, std::uint64_t x) {
+        for (int i = level; i < kSlices; ++i) {
+          std::uint64_t carry = c[i] & x;
+          c[i] ^= x;
+          x = carry;
+        }
+      };
+      // Eight rotations at a time through a carry-save tree (Harley-Seal):
+      // seven full adders leave one weight-8 carry to ripple in.
+      std::size_t j = 0;
+      for (; j + 8 <= n; j += 8) {
+        const std::uint32_t* k = supp.data() + j;
+        std::uint64_t twos_a, twos_b, fours_a, fours_b, eights;
+        full_add(c[0], twos_a, c[0], rotated(k[0]), rotated(k[1]));
+        full_add(c[0], twos_b, c[0], rotated(k[2]), rotated(k[3]));
+        full_add(c[1], fours_a, c[1], twos_a, twos_b);
+        full_add(c[0], twos_a, c[0], rotated(k[4]), rotated(k[5]));
+        full_add(c[0], twos_b, c[0], rotated(k[6]), rotated(k[7]));
+        full_add(c[1], fours_b, c[1], twos_a, twos_b);
+        full_add(c[2], eights, c[2], fours_a, fours_b);
+        add(3, eights);
+      }
+      for (; j < n; ++j) add(0, rotated(supp[j]));
+    }
+  }
+
+  // The positions whose counter is at least t.
+  Gf2Ring at_least(int t) const {
+    std::vector<std::uint64_t> mask(slices_.size(),
+                                    t <= 0 ? ~std::uint64_t{0} : 0);
+    if (t > 0 && t < (1 << kSlices)) {
+      for (std::size_t wi = 0; wi < slices_.size(); ++wi) {
+        // Most significant slice first: gt collects lanes already above
+        // t, eq the lanes still equal to t's leading bits.
+        const auto& c = slices_[wi];
+        std::uint64_t gt = 0, eq = ~std::uint64_t{0};
+        for (int i = kSlices - 1; i >= 0; --i) {
+          if ((t >> i) & 1) {
+            eq &= c[i];
+          } else {
+            gt |= eq & c[i];
+            eq &= ~c[i];
+          }
+        }
+        mask[wi] = gt | eq;
+      }
+    }
+    return Gf2Ring::from_words(r_, std::move(mask));
+  }
+
+ private:
+  std::size_t r_;
+  std::vector<std::array<std::uint64_t, kSlices>> slices_;
+};
+
 // Black-Gray-Flip decoder. Returns true and fills (e0, e1) on success.
+// Every pass decides all its flips from one syndrome fixed for the pass.
 bool bgf_decode(const Gf2Ring& s0, const Gf2Ring& h0, const Gf2Ring& h1,
-                int d, int t, Gf2Ring& e0, Gf2Ring& e1,
+                int d, Gf2Ring& e0, Gf2Ring& e1,
                 const BgfThreshold& th_params) {
-  (void)t;
   constexpr int kNbIter = 5;
   constexpr int kTau = 3;
   std::size_t r = s0.degree_bound();
@@ -90,36 +182,22 @@ bool bgf_decode(const Gf2Ring& s0, const Gf2Ring& h0, const Gf2Ring& h1,
     if (s.is_zero()) return true;
     int th = threshold(th_params, s.weight());
 
-    std::vector<std::uint8_t> black0(r, 0), black1(r, 0), gray0(r, 0),
-        gray1(r, 0);
-    for (std::size_t j = 0; j < r; ++j) {
-      int c0 = counter(s, r, h0_supp, j);
-      if (c0 >= th) {
-        e0.flip(j);
-        black0[j] = 1;
-      } else if (c0 >= th - kTau) {
-        gray0[j] = 1;
-      }
-      int c1 = counter(s, r, h1_supp, j);
-      if (c1 >= th) {
-        e1.flip(j);
-        black1[j] = 1;
-      } else if (c1 >= th - kTau) {
-        gray1[j] = 1;
-      }
-    }
+    std::vector<std::uint64_t> sd = doubled(s);
+    Counters c0(sd, r, h0_supp), c1(sd, r, h1_supp);
+    Gf2Ring black0 = c0.at_least(th), black1 = c1.at_least(th);
+    Gf2Ring gray0 = c0.at_least(th - kTau) ^ black0;
+    Gf2Ring gray1 = c1.at_least(th - kTau) ^ black1;
+    e0 ^= black0;
+    e1 ^= black1;
 
     if (iter == 0) {
       // Two extra masked half-iterations on the black and gray sets.
       int th2 = (d + 1) / 2;
-      for (const auto* mask : {&black0, &gray0}) {
-        Gf2Ring s2 = current_syndrome();
-        const auto& m0 = *mask;
-        const auto& m1 = (mask == &black0) ? black1 : gray1;
-        for (std::size_t j = 0; j < r; ++j) {
-          if (m0[j] && counter(s2, r, h0_supp, j) >= th2) e0.flip(j);
-          if (m1[j] && counter(s2, r, h1_supp, j) >= th2) e1.flip(j);
-        }
+      for (const auto& [m0, m1] : {std::pair{&black0, &black1},
+                                   std::pair{&gray0, &gray1}}) {
+        std::vector<std::uint64_t> sd2 = doubled(current_syndrome());
+        e0 ^= *m0 & Counters(sd2, r, h0_supp).at_least(th2);
+        e1 ^= *m1 & Counters(sd2, r, h1_supp).at_least(th2);
       }
     }
   }
@@ -229,7 +307,7 @@ std::optional<Bytes> BikeKem::decapsulate(BytesView secret_key,
     e1.wipe();
   });
   bool decoded =
-      bgf_decode(s, h0, h1, d_, t_, e0, e1, th) &&
+      bgf_decode(s, h0, h1, d_, e0, e1, th) &&
       e0.weight() + e1.weight() ==  // ct-lint: allow(secret-compare) weight check is part of the variable-time decoder
           static_cast<std::size_t>(t_);
 

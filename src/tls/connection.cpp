@@ -1196,7 +1196,9 @@ void ServerConnection::send_retry_request(const ClientHello& hello,
   hrr.key_share_group = group_id(*config_.ka);  // group only, no key
   Bytes hrr_msg = encode_server_hello(hrr);
   key_schedule_.update_transcript(hrr_msg);
-  queue(records_.seal(ContentType::kHandshake, hrr_msg), sink, true);
+  Bytes hrr_record = records_.seal(ContentType::kHandshake, hrr_msg);
+  charge(perf::Op::kPerByte, hrr_record.size());
+  queue(std::move(hrr_record), sink, true);
   flush(sink);
   end_leg();
   // Stay in kWaitClientHello for the retried ClientHello.

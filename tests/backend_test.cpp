@@ -2,7 +2,8 @@
 //  - selection parsing/fallback and the resolved active_name() metadata,
 //  - raw kernel equivalence (portable vs AVX2/AES-NI/SHA-NI on random
 //    inputs and the FIPS 180-4 SHA-256 vectors; every lane of the 4-way
-//    Keccak and ShakeX4 vs scalar sponges),
+//    Keccak and ShakeX4 vs scalar sponges; the PCLMULQDQ GF(2) product is
+//    checked in gf2_test.cpp),
 //  - catalog-wide KAT equivalence: keygen/encaps/decaps and sign/verify
 //    bytes are identical under every backend selection,
 //  - campaign rows are byte-identical under forced-portable vs auto,
@@ -118,6 +119,24 @@ TEST(BackendDispatch, Sha256FollowsAesniSelection) {
   EXPECT_EQ(&backend::sha256_kernels(), expected);
   ASSERT_TRUE(backend::select("auto"));
   EXPECT_EQ(&backend::sha256_kernels(), expected);
+}
+
+// The PCLMULQDQ GF(2) kernel resolves exactly like SHA-NI, and likewise
+// leaves active_name() alone.
+TEST(BackendDispatch, Gf2FollowsAesniSelection) {
+  SelectionGuard guard;
+  const backend::Gf2Kernels* pclmul = backend::detail::gf2_pclmul();
+  const bool runnable = pclmul != nullptr && backend::detail::cpu_has_pclmul();
+  const backend::Gf2Kernels* expected =
+      runnable ? pclmul : &backend::detail::kGf2Portable;
+  ASSERT_TRUE(backend::select("portable"));
+  EXPECT_EQ(&backend::gf2_kernels(), &backend::detail::kGf2Portable);
+  ASSERT_TRUE(backend::select("avx2"));
+  EXPECT_EQ(&backend::gf2_kernels(), &backend::detail::kGf2Portable);
+  ASSERT_TRUE(backend::select("aesni"));
+  EXPECT_EQ(&backend::gf2_kernels(), expected);
+  ASSERT_TRUE(backend::select("auto"));
+  EXPECT_EQ(&backend::gf2_kernels(), expected);
 }
 
 // ---------------------------------------------------------------------------

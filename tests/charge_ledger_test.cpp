@@ -41,11 +41,12 @@ const tls::ServerContext& context(const char* ka, const char* sa,
                              *catalog.require_signer(sa).signer, chain, kSeed);
 }
 
-// Pump flights between the endpoints until quiescent; `first_flight`
-// receives the size of the client's first flight. Returns true when both
-// sides completed the handshake.
+// Pump flights between the endpoints until quiescent; `first_flight` and
+// `server_first_flight` receive the sizes of each side's first flight.
+// Returns true when both sides completed the handshake.
 bool pump(tls::ClientConnection& client, tls::ServerConnection& server,
-          std::size_t* first_flight = nullptr) {
+          std::size_t* first_flight = nullptr,
+          std::size_t* server_first_flight = nullptr) {
   std::vector<Bytes> to_server, to_client;
   client.start([&](BytesView d) {
     if (first_flight) *first_flight = d.size();
@@ -57,6 +58,8 @@ bool pump(tls::ClientConnection& client, tls::ServerConnection& server,
     to_server.clear();
     for (const Bytes& flight : in)
       server.on_data(flight, [&](BytesView d) {
+        if (server_first_flight && *server_first_flight == 0)
+          *server_first_flight = d.size();
         to_client.emplace_back(d.begin(), d.end());
       });
     in = std::move(to_client);
@@ -74,6 +77,7 @@ struct LedgerRun {
   std::vector<perf::ChargeLedger> client_legs, server_legs;
   double client_cost = 0, server_cost = 0;
   std::size_t client_hello_bytes = 0;
+  std::size_t server_first_flight_bytes = 0;
 };
 
 LedgerRun handshake(const tls::ClientConfig& ccfg,
@@ -85,7 +89,8 @@ LedgerRun handshake(const tls::ClientConfig& ccfg,
   client.set_cost_model(model);
   server.set_cost_model(model);
   LedgerRun r;
-  r.ok = pump(client, server, &r.client_hello_bytes);
+  r.ok = pump(client, server, &r.client_hello_bytes,
+              &r.server_first_flight_bytes);
   r.client_legs.assign(client.legs().begin(), client.legs().end());
   r.server_legs.assign(server.legs().begin(), server.legs().end());
   r.client_cost = client.modeled_cost();
@@ -174,6 +179,11 @@ TEST(ChargeLedger, HelloRetryRequestAddsALegPerSide) {
   EXPECT_EQ(r.client_legs[0][Op::kKemKeygen], 1u);  // x25519 share
   EXPECT_EQ(r.client_legs[1][Op::kKemKeygen], 1u);  // kyber512 share
   EXPECT_EQ(r.server_legs[0][Op::kKemEncaps], 0u);  // HRR only
+  // The HelloRetryRequest leg charges the ClientHello record it read (the
+  // payload after the 5-byte record header) and the HRR record it sealed.
+  EXPECT_GT(r.server_first_flight_bytes, 0u);
+  EXPECT_EQ(r.server_legs[0][Op::kPerByte],
+            r.client_hello_bytes - 5 + r.server_first_flight_bytes);
   EXPECT_EQ(r.server_legs[1][Op::kKemEncaps], 1u);
 }
 

@@ -1,7 +1,9 @@
 // HQC / BIKE code-based KEM tests and the underlying error-correcting codes.
 #include <gtest/gtest.h>
 
+#include "crypto/bytes.hpp"
 #include "crypto/drbg.hpp"
+#include "crypto/sha2.hpp"
 #include "kem/bike.hpp"
 #include "kem/hqc.hpp"
 #include "kem/hqc_codes.hpp"
@@ -173,6 +175,41 @@ INSTANTIATE_TEST_SUITE_P(AllCodeKems, CodeKemTest,
                                            &BikeKem::bikel1(),
                                            &BikeKem::bikel3()),
                          [](const auto& info) { return info.param->name(); });
+
+// BIKE's output bytes are pinned: one SHA-256 over the keypair,
+// ciphertext and shared secret of eight seeded runs per level, plus the
+// decapsulation of each ciphertext with one c0 bit flipped (the decoder
+// then sees t + 1 errors and the implicit-rejection path answers). Any
+// change to ring arithmetic, inversion or the BGF decoder that moves a
+// single bit moves the digest.
+TEST(BikeDigest, PinnedAcrossSeedsAndLevels) {
+  crypto::Sha256 digest;
+  for (const BikeKem* kem : {&BikeKem::bikel1(), &BikeKem::bikel3()}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      SCOPED_TRACE(kem->name() + " seed " + std::to_string(seed));
+      Drbg rng(0xb1ce0000 + seed);
+      KeyPair kp = kem->generate_keypair(rng);
+      auto enc = kem->encapsulate(kp.public_key, rng);
+      ASSERT_TRUE(enc.has_value());
+      auto ss = kem->decapsulate(kp.secret_key, enc->ciphertext);
+      ASSERT_TRUE(ss.has_value());
+      EXPECT_EQ(*ss, enc->shared_secret);
+      Bytes tampered = enc->ciphertext;
+      tampered[seed % 64] ^= 0x01;
+      auto rejected = kem->decapsulate(kp.secret_key, tampered);
+      ASSERT_TRUE(rejected.has_value());
+      EXPECT_NE(*rejected, enc->shared_secret);
+      for (BytesView part : {BytesView(kp.public_key), BytesView(kp.secret_key),
+                             BytesView(enc->ciphertext),
+                             BytesView(enc->shared_secret),
+                             BytesView(*rejected)})
+        digest.update(part);
+    }
+  }
+  EXPECT_EQ(to_hex(digest.finish()),
+            "79ce932a45b9a4c87ca65d58f2bf51ae"
+            "8398ca836bdf33e1b9c7ffd1666a663f");
+}
 
 }  // namespace
 }  // namespace pqtls::kem
