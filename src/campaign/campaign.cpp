@@ -211,6 +211,7 @@ CampaignSpec build_table4(const char* name, const char* description,
 CampaignSpec build_fig3() {
   CampaignSpec spec;
   spec.name = "fig3";
+  spec.ascii_layout = AsciiLayout::kDeviation;
   spec.description =
       "Figure 3: per-level KA x SA grid plus deviation baselines under both "
       "server buffering modes";
@@ -239,6 +240,7 @@ CampaignSpec build_fig3() {
 CampaignSpec build_fig4() {
   CampaignSpec spec;
   spec.name = "fig4";
+  spec.ascii_layout = AsciiLayout::kRanking;
   spec.description =
       "Figure 4: latency-ranking inputs (KAs with rsa:2048, SAs with x25519)";
   std::set<std::string> seen;

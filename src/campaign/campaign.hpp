@@ -34,6 +34,8 @@ struct Cell {
 enum class AsciiLayout {
   kPerCell,         // one row per cell (Table 2 style)
   kScenarioMatrix,  // algorithms x scenarios, median totals (Table 4 style)
+  kDeviation,       // Figure 3: KA/SA independence deviations per level
+  kRanking,         // Figure 4: KAs and SAs in log-latency buckets
 };
 
 struct CampaignSpec {

@@ -1,10 +1,9 @@
 // The shared algorithm matrix behind the paper's tables and figures: which
 // key agreements and signature algorithms appear in which artifact, grouped
-// by NIST security level. Lifted out of bench/bench_common.hpp so the
-// campaign engine and the per-table bench binaries declare their cells from
-// one registry instead of each keeping a private copy. Rows are derived
-// from crypto::AlgorithmCatalog (names, table levels, registry order), so
-// the matrices cannot drift from the registries.
+// by NIST security level. The campaign specs declare their cells from this
+// one registry, and the ASCII sink lays out Figure 3's grids from it. Rows
+// are derived from crypto::AlgorithmCatalog (names, table levels, registry
+// order), so the matrices cannot drift from the registries.
 #pragma once
 
 #include <vector>

@@ -1,8 +1,8 @@
 // Defensive parsing of numeric knobs shared by the campaign and loadgen
-// CLIs and the bench binaries. Malformed input never silently becomes 0
-// (the old std::atoi/std::atof behaviour): the caller's default wins and a
-// warning goes to stderr so a typo in PQTLS_SAMPLES doesn't degrade a run
-// to zero samples.
+// CLIs. Malformed input never silently becomes 0 (the old
+// std::atoi/std::atof behaviour): the caller's default wins and a warning
+// goes to stderr so a typo in PQTLS_SAMPLES doesn't degrade a run to zero
+// samples.
 #pragma once
 
 #include <cstdint>

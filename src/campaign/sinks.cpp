@@ -5,8 +5,13 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <optional>
+#include <stdexcept>
 #include <string_view>
 
+#include "analysis/deviation.hpp"
+#include "analysis/ranking.hpp"
+#include "campaign/matrix.hpp"
 #include "crypto/backend/backend.hpp"
 #include "perf/profiler.hpp"
 
@@ -325,7 +330,7 @@ void AsciiSink::cell(const CellOutcome& o) {
     out_ << line;
     return;
   }
-  if (layout_ == AsciiLayout::kScenarioMatrix) {
+  if (layout_ != AsciiLayout::kPerCell) {
     buffered_.push_back(o);
     return;
   }
@@ -363,6 +368,8 @@ void AsciiSink::finish() {
     finish_whitebox();
     return;
   }
+  if (layout_ == AsciiLayout::kDeviation) finish_deviation();
+  if (layout_ == AsciiLayout::kRanking) finish_ranking();
   if (layout_ != AsciiLayout::kScenarioMatrix) return;
   // Rows: "ka/sa" in first-seen order; columns: scenarios in first-seen
   // order, each as wide as its label (at least 12); cell value: median
@@ -402,6 +409,109 @@ void AsciiSink::finish() {
       out_ << buf;
     }
     out_ << '\n';
+  }
+}
+
+// Figure 3: per level, the independence deviation E(k,s) - M(k,s) under
+// each buffering mode (3a, 3b) and the optimized mode's gain
+// M_default - M_optimized (3c), in ms. A failed cell, and every value that
+// reads one, renders as FAIL.
+void AsciiSink::finish_deviation() {
+  analysis::LatencyTable buffered, immediate;
+  for (const auto& o : buffered_) {
+    if (!o.ok()) continue;
+    auto& table = o.cell.config.buffering == tls::Buffering::kDefault
+                      ? buffered
+                      : immediate;
+    table[{o.cell.config.ka, o.cell.config.sa}] = o.result.median_total;
+  }
+  char buf[128];
+  // One level's KA x SA grid; `value` gives each cell in seconds.
+  auto print_grid = [&](const LevelCombos& level, auto value) {
+    std::snprintf(buf, sizeof(buf), "  %s:\n  %-14s", level.label, "");
+    out_ << buf;
+    for (const char* sa : level.sas) {
+      std::snprintf(buf, sizeof(buf), " %14s", sa);
+      out_ << buf;
+    }
+    out_ << '\n';
+    for (const char* ka : level.kas) {
+      std::snprintf(buf, sizeof(buf), "  %-14s", ka);
+      out_ << buf;
+      for (const char* sa : level.sas) {
+        std::optional<double> v = value(ka, sa);
+        if (v)
+          std::snprintf(buf, sizeof(buf), " %+14.2f", *v * 1e3);
+        else
+          std::snprintf(buf, sizeof(buf), " %14s", "FAIL");
+        out_ << buf;
+      }
+      out_ << '\n';
+    }
+  };
+
+  for (const auto* table : {&buffered, &immediate}) {
+    out_ << '\n'
+         << (table == &buffered ? "Figure 3a: default OpenSSL behaviour"
+                                : "Figure 3b: optimized behaviour")
+         << " (deviation E(k,s) - M(k,s) in ms; positive = faster than "
+            "predicted)\n";
+    for (const auto& level : fig3_levels()) {
+      print_grid(level, [&](const char* ka,
+                            const char* sa) -> std::optional<double> {
+        try {
+          return analysis::deviation_analysis(*table, {{ka, sa}})
+              .front()
+              .deviation;
+        } catch (const std::invalid_argument&) {
+          return std::nullopt;  // an input cell failed, so it is not there
+        }
+      });
+    }
+  }
+
+  out_ << "\nFigure 3c: improvement of the optimized behaviour "
+          "(M_default - M_optimized in ms; positive = optimized faster)\n";
+  for (const auto& level : fig3_levels()) {
+    print_grid(level, [&](const char* ka,
+                          const char* sa) -> std::optional<double> {
+      auto b = buffered.find({ka, sa});
+      auto i = immediate.find({ka, sa});
+      if (b == buffered.end() || i == immediate.end()) return std::nullopt;
+      return b->second - i->second;
+    });
+  }
+  print_failed_cells();
+}
+
+// Figure 4: KAs (measured with rsa:2048) and SAs (with x25519) ranked by
+// log median latency. The shared x25519/rsa:2048 cell ranks in both lists,
+// as it appeared in both of the paper's sweeps; failed cells are listed
+// after the rankings instead.
+void AsciiSink::finish_ranking() {
+  std::vector<std::pair<std::string, double>> kas, sas;
+  for (const auto& o : buffered_) {
+    if (!o.ok()) continue;
+    if (o.cell.config.sa == "rsa:2048")
+      kas.emplace_back(o.cell.config.ka, o.result.median_total);
+    if (o.cell.config.ka == "x25519")
+      sas.emplace_back(o.cell.config.sa, o.result.median_total);
+  }
+  out_ << "Figure 4: algorithms ranked by log handshake latency (bucket 0 = "
+          "fastest, 10 = slowest)\n"
+       << "\nKey agreements (with rsa:2048):\n"
+       << analysis::render_ranking(analysis::rank_by_latency(kas))
+       << "\nSignature algorithms (with x25519):\n"
+       << analysis::render_ranking(analysis::rank_by_latency(sas));
+  print_failed_cells();
+}
+
+void AsciiSink::print_failed_cells() {
+  const char* title = "\nFailed cells:\n";
+  for (const auto& o : buffered_) {
+    if (o.ok()) continue;
+    out_ << title << "  " << o.cell.id << ": " << o.error << '\n';
+    title = "";
   }
 }
 

@@ -1,10 +1,10 @@
 // Result sinks for the campaign runner: machine-readable JSONL and CSV
 // streams with a fixed schema (ka, sa, scenario, latency medians, data
 // volumes, 60 s handshake rate, seed, ok flag), a human-readable ASCII
-// renderer, and an in-memory collector for programmatic consumers (the
-// converted bench binaries). Loadgen cells emit their own fixed row shape
-// (offered/achieved/capacity rates, latency percentiles, queue depth,
-// drop/timeout counts) — both schemas are golden-file locked. All numeric
+// renderer, and an in-memory collector for programmatic consumers. Loadgen
+// cells emit their own fixed row shape (offered/achieved/capacity rates,
+// latency percentiles, queue depth, drop/timeout counts) — both schemas are
+// golden-file locked. All numeric
 // formatting is locale-independent and fixed-precision so equal results
 // serialize to equal bytes.
 #pragma once
@@ -47,10 +47,11 @@ class CsvSink : public Sink {
 };
 
 /// Human-readable rendering honouring the campaign's AsciiLayout: one row
-/// per cell (Table 2 style), or an algorithms-by-scenarios matrix of median
-/// totals rendered at finish() (Table 4 style). White-box campaigns get
-/// Table 3's CPU, packet and amplification columns per cell, and finish()
-/// adds the per-library CPU distribution and the worst asymmetries.
+/// per cell (Table 2 style), or, rendered at finish(), an algorithms-by-
+/// scenarios matrix of median totals (Table 4 style), Figure 3's deviation
+/// grids or Figure 4's latency ranking. White-box campaigns get Table 3's
+/// CPU, packet and amplification columns per cell, and finish() adds the
+/// per-library CPU distribution and the worst asymmetries.
 class AsciiSink : public Sink {
  public:
   explicit AsciiSink(std::ostream& out) : out_(out) {}
@@ -60,6 +61,9 @@ class AsciiSink : public Sink {
 
  private:
   void finish_whitebox();
+  void finish_deviation();
+  void finish_ranking();
+  void print_failed_cells();
 
   std::ostream& out_;
   AsciiLayout layout_ = AsciiLayout::kPerCell;

@@ -1,8 +1,8 @@
 // Rate-sweep driver: runs a ladder of offered loads against one KA x SA
 // server configuration and locates the capacity knee — the highest offered
 // load whose p99 handshake latency stays under the SLO with negligible
-// drops/abandonment. Produces the saturation curve behind
-// bench/loadgen_capacity and the pqtls_loadgen --sweep mode.
+// drops/abandonment. Produces the saturation curve behind the
+// pqtls_loadgen --sweep mode.
 #pragma once
 
 #include <vector>

@@ -73,7 +73,7 @@ std::vector<const Signer*> build_registry() {
       &p521_sphincs256,
       // SPHINCS+ "s" (size-optimized) variants: not in the paper's tables
       // (its all-sphincs pre-experiment selected the fastest variant) but
-      // registered for the bench/all_sphincs comparison.
+      // registered for the all_sphincs campaign's comparison.
       &SphincsSigner::sphincs128s(),
       &SphincsSigner::sphincs192s(),
       &SphincsSigner::sphincs256s(),

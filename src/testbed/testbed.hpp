@@ -65,7 +65,7 @@ struct ExperimentConfig {
   double harness_overhead_s = 0.9e-3;
   /// TCP initial congestion window in segments (Linux default: 10). The
   /// paper's conclusion flags this as the key tuning knob for keeping large
-  /// PQ handshakes at 1 RTT; see bench/ablation_initial_cwnd.
+  /// PQ handshakes at 1 RTT; see the ablation_initial_cwnd campaign.
   std::size_t initial_cwnd_segments = 10;
   /// When set, the client pre-computes its key share for this group instead
   /// of `ka` (while still supporting `ka`): the server answers with

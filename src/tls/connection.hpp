@@ -90,7 +90,8 @@ struct ClientConfig {
   /// Further groups advertised in supported_groups without a key share; if
   /// the server insists on one of these, it answers with HelloRetryRequest
   /// and the handshake costs a second round trip (the paper configured its
-  /// measurements so this never happened; bench/ablation_hrr measures it).
+  /// measurements so this never happened; the ablation_hrr campaign
+  /// measures it).
   std::vector<const kem::Kem*> also_supported;
   const sig::Signer* sa = nullptr;  // expected server SA
   pki::TrustAnchor root;            // checked and loaded once

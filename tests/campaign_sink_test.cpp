@@ -177,6 +177,129 @@ TEST(CampaignSinks, AsciiMatrixHeaderKeepsFullLabels) {
       << header;
 }
 
+// A fig3/fig4 testbed cell with a hand-set median total (ms); a negative
+// median marks the cell failed.
+CellOutcome figure_outcome(
+    const std::string& ka, const std::string& sa, double median_ms,
+    tls::Buffering buffering = tls::Buffering::kDefault) {
+  CellOutcome o;
+  o.cell.id = ka + "/" + sa;
+  o.cell.config.ka = ka;
+  o.cell.config.sa = sa;
+  o.cell.config.buffering = buffering;
+  if (median_ms < 0) {
+    o.error = "no sample completed";
+    return o;
+  }
+  o.result.ok = true;
+  o.result.median_total = median_ms * 1e-3;
+  return o;
+}
+
+std::string render(AsciiLayout layout, const std::vector<CellOutcome>& cells) {
+  CampaignSpec spec;
+  spec.name = "figure";
+  spec.ascii_layout = layout;
+  std::ostringstream out;
+  AsciiSink sink(out);
+  sink.begin(spec, RunnerOptions{});
+  for (const auto& o : cells) sink.cell(o);
+  sink.finish();
+  return out.str();
+}
+
+// The line of `text` that starts with `prefix`, searching from `from`.
+std::string line_at(const std::string& text, const std::string& prefix,
+                    std::size_t from = 0) {
+  std::size_t start = text.find("\n" + prefix, from);
+  if (start == std::string::npos) return "";
+  start += 1;
+  return text.substr(start, text.find('\n', start) - start);
+}
+
+// Figure 3 from hand-set medians: E(kyber512, falcon512) = 12 + 15 - 10 =
+// 17 ms against a measured 16 ms deviates by +1 ms when buffered; immediate
+// push measures 14 ms (+3 ms) and so gains 2 ms. kyber512/dilithium2 failed
+// when buffered, so its 3a deviation and its 3c gain are FAIL while its 3b
+// deviation (12 + 20 - 10 - 23 = -1 ms) still renders. The buffered
+// x25519/dilithium2_aes baseline failed, so kyber512/dilithium2_aes has no
+// 3a deviation although its own cell ran (3b: 12 + 20 - 10 - 22 = 0 ms).
+// Cells never run (the rsa:3072 and sphincs128 columns) are FAIL too.
+TEST(CampaignSinks, AsciiDeviationRendersFigure3) {
+  using tls::Buffering;
+  std::vector<CellOutcome> cells;
+  for (Buffering b : {Buffering::kDefault, Buffering::kImmediate}) {
+    bool buffered = b == Buffering::kDefault;
+    cells.push_back(figure_outcome("x25519", "rsa:2048", 10, b));
+    cells.push_back(figure_outcome("kyber512", "rsa:2048", 12, b));
+    cells.push_back(figure_outcome("x25519", "falcon512", 15, b));
+    cells.push_back(figure_outcome("x25519", "dilithium2", 20, b));
+    cells.push_back(
+        figure_outcome("x25519", "dilithium2_aes", buffered ? -1 : 20, b));
+    cells.push_back(figure_outcome("kyber512", "falcon512", buffered ? 16 : 14,
+                                   b));
+    cells.push_back(
+        figure_outcome("kyber512", "dilithium2", buffered ? -1 : 23, b));
+    cells.push_back(figure_outcome("kyber512", "dilithium2_aes", 22, b));
+  }
+  std::string text = render(AsciiLayout::kDeviation, cells);
+  std::size_t fig3a = text.find("Figure 3a");
+  std::size_t fig3b = text.find("Figure 3b");
+  std::size_t fig3c = text.find("Figure 3c");
+  ASSERT_NE(fig3a, std::string::npos) << text;
+  ASSERT_NE(fig3b, std::string::npos) << text;
+  ASSERT_NE(fig3c, std::string::npos) << text;
+  // Level 1+2 columns: rsa:3072 falcon512 sphincs128 dilithium2
+  // dilithium2_aes.
+  EXPECT_EQ(line_at(text, "  level1+2:", fig3a), "  level1+2:") << text;
+  EXPECT_EQ(line_at(text, "  kyber512 ", fig3a),
+            "  kyber512                 FAIL          +1.00           FAIL"
+            "           FAIL           FAIL")
+      << text;
+  EXPECT_EQ(line_at(text, "  kyber512 ", fig3b),
+            "  kyber512                 FAIL          +3.00           FAIL"
+            "          -1.00          +0.00")
+      << text;
+  EXPECT_EQ(line_at(text, "  kyber512 ", fig3c),
+            "  kyber512                 FAIL          +2.00           FAIL"
+            "           FAIL          +0.00")
+      << text;
+  // x25519 is its own baseline: zero deviation wherever its cell ran.
+  EXPECT_NE(line_at(text, "  x25519 ", fig3a).find("+0.00"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\nFailed cells:\n"
+                      "  x25519/dilithium2_aes: no sample completed\n"
+                      "  kyber512/dilithium2: no sample completed\n"),
+            std::string::npos)
+      << text;
+}
+
+// Figure 4 from hand-set medians on a 1..100 ms log scale: 1 ms is bucket
+// 0, 10 ms bucket 5, 100 ms bucket 10; the failed cell is listed, not
+// ranked, and the shared x25519/rsa:2048 cell ranks in both lists.
+TEST(CampaignSinks, AsciiRankingRendersFigure4) {
+  std::string text =
+      render(AsciiLayout::kRanking,
+             {figure_outcome("x25519", "rsa:2048", 1),
+              figure_outcome("kyber512", "rsa:2048", 10),
+              figure_outcome("hqc128", "rsa:2048", 100),
+              figure_outcome("bikel1", "rsa:2048", -1),
+              figure_outcome("x25519", "dilithium2", 100)});
+  EXPECT_NE(text.find("Key agreements (with rsa:2048):\n"
+                      "  [0] x25519 \n  [5] kyber512 \n  [10] hqc128 \n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("Signature algorithms (with x25519):\n"
+                      "  [0] rsa:2048 \n  [10] dilithium2 \n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\nFailed cells:\n  bikel1/rsa:2048: no sample "
+                      "completed\n"),
+            std::string::npos)
+      << text;
+}
+
 // White-box campaigns render Table 3's columns, the library distribution
 // and the section 5.5 worst-asymmetry lines instead of Table 2's columns.
 TEST(CampaignSinks, AsciiWhiteBoxRendersTable3Columns) {

@@ -89,7 +89,8 @@ bool is_slow_signer(const std::string& name) {
 
 TEST_P(SigSweepTest, SignVerifyAcrossMessageShapes) {
   const sig::Signer& s = *GetParam();
-  if (is_slow_signer(s.name())) GTEST_SKIP() << "covered by bench/all_sphincs";
+  if (is_slow_signer(s.name()))
+    GTEST_SKIP() << "covered by campaign all_sphincs";
   Drbg rng(0x51);
   auto kp = s.generate_keypair(rng);
   EXPECT_EQ(kp.public_key.size(), s.public_key_size());

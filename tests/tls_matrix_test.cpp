@@ -41,7 +41,7 @@ class SaMatrixTest : public ::testing::TestWithParam<const sig::Signer*> {};
 TEST_P(SaMatrixTest, HandshakeOverTestbed) {
   const std::string& name = GetParam()->name();
   if (name == "sphincs192s" || name == "sphincs256s")
-    GTEST_SKIP() << "multi-second signing; covered by bench/all_sphincs";
+    GTEST_SKIP() << "multi-second signing; covered by campaign all_sphincs";
   ExperimentConfig config;
   config.ka = "x25519";
   config.sa = name;
